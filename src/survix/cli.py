@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file with default option values")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="write a simulated dataset CSV plus metadata")
@@ -155,18 +154,19 @@ def _build_parser() -> _Parser:
     p_ben.add_argument("--p", type=int, default=None)
     p_ben.add_argument("--timepoints", type=int, default=None)
     p_ben.add_argument("--order", type=int, default=None)
+    p_ben.add_argument("--threads", type=int, default=None)
     return parser
 
 
 _DEFAULTS = {
     "simulate": {"scenario": 1, "n": 1000, "seed": 7, "rho": 0.0,
-                 "t_max": T_MAX, "split": False, "threads": 1},
+                 "t_max": T_MAX, "split": False},
     "explain": {"scenario": 1, "target": "loghazard", "order": 2,
                 "method": "exact", "budget": 256, "timepoints": 41,
                 "t_max": T_MAX, "n": 1000, "seed": 7, "rho": 0.0,
                 "imputation": "marginal", "background_size": 0,
-                "n_samples": 1000, "smooth": False, "svg": False, "threads": 1},
-    "validate": {"seed": 7, "only": "", "tol": 0.0, "threads": 1},
+                "n_samples": 1000, "smooth": False, "svg": False},
+    "validate": {"seed": 7, "only": "", "tol": 0.0},
     "benchmark": {"budgets": "64,128,256,512", "reps": 30, "seed": 7,
                   "p": 10, "timepoints": 11, "order": 2, "threads": 1},
 }

@@ -238,15 +238,13 @@ class ApproximatorConfig:
     """Sampling-based estimator configuration.
 
     budget counts coalition-value evaluations per timepoint; one evaluated
-    coalition yields its whole curve, so by default a single coalition sample
-    is shared across the grid. Set share_timepoints=False to resample
-    independently at every grid point instead.
+    coalition yields its whole curve, so a single coalition sample is shared
+    across the grid.
     """
 
     method: str
     budget: int
     seed: int = 0
-    share_timepoints: bool = True
 
     def __post_init__(self):
         if self.method not in ("mc", "permutation", "regression"):
@@ -292,10 +290,7 @@ def explain(predict, x, imputer, grid: TimeGrid, order: int,
             "permutation": approximators.approx_permutation,
             "regression": approximators.approx_regression,
         }[cfg.method]
-        if cfg.share_timepoints or len(grid) == 1:
-            ksii, info = runner(game, order, cfg.budget, cfg.seed)
-        else:
-            ksii, info = _per_timepoint(runner, game, order, cfg)
+        ksii, info = runner(game, order, cfg.budget, cfg.seed)
     else:
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
 
@@ -320,26 +315,6 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
                 precomputed_baseline=baseline)
         for i in range(X.shape[0])
     ]
-
-
-def _per_timepoint(runner, game: SurvivalGame, order: int,
-                   cfg: ApproximatorConfig):
-    """Re-run the estimator with an independent sample at every grid point."""
-    curves: Dict[int, np.ndarray] = {}
-    infos = []
-    T = len(game.grid)
-    for ti, t in enumerate(game.grid.points):
-        sub = SurvivalGame(
-            predict=game.predict, x=game.x, imputer=game.imputer,
-            grid=TimeGrid(np.array([t]), game.grid.t_max),
-        )
-        ksii, info = runner(sub, order, cfg.budget, cfg.seed + 1000 * ti)
-        infos.append(info)
-        for mask, val in ksii.items():
-            curves.setdefault(mask, np.zeros(T))[ti] = val[0]
-    agg = {"method": infos[0]["method"], "per_timepoint": True,
-           "evaluations": sum(i["evaluations"] for i in infos)}
-    return curves, agg
 
 
 def efficiency_residual(expl: InteractionExplanation,

@@ -3,10 +3,13 @@ fitter.
 
 A ground-truth model is a constant baseline hazard times the exponential of a
 term-based risk score: each term multiplies a coefficient, per-feature
-transforms of a feature subset, and an optional time factor. Log-hazard and
-hazard evaluate in closed form; survival integrates the hazard, using the
-exact constant-hazard formula when no term depends on time and Gauss-Legendre
-panel quadrature otherwise.
+transforms of a feature subset, and an optional time factor. The time
+vocabulary is closed ('constant' or 'log1p'), so the risk score is
+G(t|x) = c0(x) + c1(x) * log1p(t) and every scale, survival included,
+evaluates in closed form: the cumulative hazard is
+lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. Each batch prediction
+allocates one (m, T) array and computes in place into it. The scalar
+cumulative_hazard integrates adaptively instead and serves as the check.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from scipy import integrate
 from .core import PredictionTarget
 
 QUAD_ABS_TOL = 1e-10
-_NODES_PER_PANEL = 10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 _ARCTAN_RE = re.compile(r"scaled_arctan\(\s*([-+0-9.eE]+)\s*\)")
 
@@ -156,63 +157,59 @@ class GroundTruthModel:
     def time_independent(self) -> bool:
         return self.risk.time_independent
 
+    def loads(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row loads (c0, c1) of G(t|x) = c0(x) + c1(x) * log1p(t): the
+        summed time-constant and the summed log1p-time term products."""
+        C = self.risk.term_products(X)
+        td = np.array([t.time_dependent for t in self.risk.terms], dtype=bool)
+        return C[:, ~td].sum(axis=1), C[:, td].sum(axis=1)
+
     # -- batch evaluation ---------------------------------------------------
 
     def log_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        C = self.risk.term_products(X)
-        L = self.risk.time_factors(times)
-        return math.log(self.lam) + C @ L
+        out = self.risk.term_products(X) @ self.risk.time_factors(times)
+        out += math.log(self.lam)
+        return out
 
     def hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = np.exp(self.log_hazard_matrix(X, times) - math.log(self.lam))
+        out = self.risk.term_products(X) @ self.risk.time_factors(times)
+        np.exp(out, out=out)
         out *= self.lam
         _check_finite(out)
         return out
 
     def cumulative_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Integral of the hazard from 0 to each timepoint, per row of X."""
+        """Integral of the hazard from 0 to each timepoint, per row of X.
+
+        Exact: lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1, whose
+        a = 0 limit is lam * e^c0 * log1p(t); lam * e^c0 * t when no term
+        depends on time.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(times < 0):
             raise ValueError("times must be >= 0")
+        c0, c1 = self.loads(X)
+        scale = self.lam * np.exp(c0)
         if self.time_independent:
-            g = self.risk.term_products(X).sum(axis=1)
-            out = self.lam * np.exp(g)[:, None] * times[None, :]
-            _check_finite(out)
-            return out
-        return self._quadrature_cumhaz(X, times)
-
-    def _quadrature_cumhaz(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        # Gauss-Legendre panels between consecutive grid points (first panel
-        # starts at 0). The integrand is smooth, so a fixed node count per
-        # panel reaches well below QUAD_ABS_TOL. With the closed time
-        # vocabulary the integrand splits into exp(c0) * exp(c1 * log(1+u)),
-        # so rows sharing the time-dependent load c1 reuse one node sweep;
-        # imputation batches repeat few distinct values there.
-        edges = np.concatenate(([0.0], times))
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        C = self.risk.term_products(X)
-        td_cols = [i for i, t in enumerate(self.risk.terms) if t.time_dependent]
-        const_cols = [i for i in range(len(self.risk.terms)) if i not in td_cols]
-        c0 = C[:, const_cols].sum(axis=1) if const_cols else np.zeros(C.shape[0])
-        c1 = C[:, td_cols].sum(axis=1)
-        uniq, inverse = np.unique(c1, return_inverse=True)
-        log_nodes = np.log1p(nodes)
-        integral = np.empty((uniq.size, times.size))
-        chunk = max(1, 32_000_000 // max(nodes.size, 1))
-        for lo in range(0, uniq.size, chunk):
-            hi = min(lo + chunk, uniq.size)
-            g = np.exp(np.outer(uniq[lo:hi], log_nodes))
-            g = g.reshape(hi - lo, times.size, _NODES_PER_PANEL)
-            integral[lo:hi] = np.cumsum((g @ _GL_WEIGHTS) * half[None, :], axis=1)
-        out = self.lam * np.exp(c0)[:, None] * integral[inverse]
+            out = np.multiply.outer(scale, times)
+        else:
+            v = np.log1p(times)
+            a = c1 + 1.0
+            flat = a == 0.0
+            a[flat] = 1.0  # flat rows take the a = 0 limit, scaled by 1
+            out = np.multiply.outer(a, v)
+            np.expm1(out, out=out)
+            out[flat] = v
+            out *= (scale / a)[:, None]
         _check_finite(out)
         return out
 
     def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return np.exp(-self.cumulative_hazard_matrix(X, times))
+        out = self.cumulative_hazard_matrix(X, times)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        return out
 
     def predict(self, X: np.ndarray, times: np.ndarray,
                 target: PredictionTarget) -> np.ndarray:
@@ -472,7 +469,7 @@ def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
         new_beta = beta + step
         for _ in range(30):
             new_ll = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)[0]
-            if new_ll >= loglik - 1e-12:
+            if new_ll >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             step *= 0.5
             new_beta = beta + step

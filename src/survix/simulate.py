@@ -1,8 +1,8 @@
 """Scenario catalog and survival data generator.
 
 Features are standard normal (optionally with pairwise correlation), event
-times come from inverting the cumulative hazard at a uniform draw, and
-administrative censoring truncates at the follow-up horizon.
+times come from inverting the closed-form cumulative hazard at a uniform draw,
+and administrative censoring truncates at the follow-up horizon.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ DEP_DEMO_RHO = 0.9
 SCENARIO_IDS = tuple(range(1, 11)) + ("dep_demo",)
 
 # event times beyond this horizon are treated as never occurring
-_BRACKET_CAP = 1e6
-_ROOT_TOL = 1e-9
+_TIME_CAP = 1e6
 
 _PURPOSES = {"features": 11, "event_u": 23, "conditional": 37, "benchmark": 53}
 
@@ -157,78 +156,34 @@ def sample_features(sampler: FeatureSampler, n: int) -> np.ndarray:
 # event times
 # ---------------------------------------------------------------------------
 
-_SUB_PANELS = 16
-_SUB_NODES, _SUB_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_edges = np.linspace(0.0, 1.0, _SUB_PANELS + 1)
-_S_NODES = (
-    0.5 * (_edges[:-1] + _edges[1:])[:, None]
-    + 0.5 * np.diff(_edges)[:, None] * _SUB_NODES[None, :]
-).ravel()
-_S_WEIGHTS = (0.5 * np.diff(_edges)[:, None] * _SUB_WEIGHTS[None, :]).ravel()
-
-
-def _cumhaz_at(model: GroundTruthModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """H(T_i | x_i) for per-row upper limits.
-
-    Substituting v = log(1 + u) maps every term of the closed time vocabulary
-    onto an exponential in v, which the composite Gauss-Legendre rule
-    integrates to near machine precision at any horizon.
-    """
-    C = model.risk.term_products(X)
-    td = [k for k, term in enumerate(model.risk.terms) if term.time_dependent]
-    const = [k for k in range(len(model.risk.terms)) if k not in td]
-    c0 = C[:, const].sum(axis=1) if const else np.zeros(C.shape[0])
-    c1 = C[:, td].sum(axis=1) if td else np.zeros(C.shape[0])
-    V = np.log1p(T)
-    g = c0[:, None] + (c1 + 1.0)[:, None] * (V[:, None] * _S_NODES[None, :])
-    return model.lam * V * (np.exp(g) @ _S_WEIGHTS)
-
-
 def simulate_event_times(model: GroundTruthModel, X: np.ndarray,
                          U: np.ndarray) -> np.ndarray:
     """Solve H(T|x) = -log(u) for every row; +inf marks unreachable events.
 
-    Proportional-hazards models (time-independent risk score) use the exact
-    closed form; otherwise a vectorized expanding bracket plus bisection
-    drives |H(T) + log(u)| below 1e-9.
+    Inverts the closed-form cumulative hazard: with k = lam * e^c0 and
+    a = c1 + 1 (see GroundTruthModel.loads), T = expm1(log1p(a * tau / k) / a)
+    for tau = -log(u), and expm1(tau / k) when a = 0. Proportional-hazards
+    models (time-independent risk score) use T = tau / k. When a < 0 the
+    cumulative hazard is bounded by k / (-a); draws at or above that bound,
+    and event times beyond _TIME_CAP, give +inf.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_1d(np.asarray(U, dtype=float))
     if np.any((U <= 0) | (U >= 1)):
         raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    target = -np.log(U)
+    c0, c1 = model.loads(X)
+    ratio = -np.log(U) / (model.lam * np.exp(c0))
     if model.time_independent:
-        g = model.risk.term_products(X).sum(axis=1)
-        return target / (model.lam * np.exp(g))
-
-    n = X.shape[0]
-    hi = np.ones(n)
-    h = _cumhaz_at(model, X, hi)
-    expanding = h < target
-    while expanding.any():
-        hi[expanding] *= 2.0
-        capped = expanding & (hi > _BRACKET_CAP)
-        expanding &= ~capped
-        if expanding.any():
-            h[expanding] = _cumhaz_at(model, X[expanding], hi[expanding])
-            expanding &= h < target
-    out = np.full(n, np.inf)
-    solvable = (h >= target) & (hi <= _BRACKET_CAP)
-    if not solvable.any():
-        return out
-    idx = np.flatnonzero(solvable)
-    lo_s = np.zeros(idx.size)
-    hi_s = hi[idx]
-    Xs, tgt = X[idx], target[idx]
-    for _ in range(200):
-        mid = 0.5 * (lo_s + hi_s)
-        h = _cumhaz_at(model, Xs, mid)
-        err = h - tgt
-        if np.all(np.abs(err) < _ROOT_TOL):
-            break
-        lo_s = np.where(err < 0, mid, lo_s)
-        hi_s = np.where(err >= 0, mid, hi_s)
-    out[idx] = 0.5 * (lo_s + hi_s)
+        return ratio
+    a = c1 + 1.0
+    flat = a == 0.0
+    a[flat] = 1.0  # any divisor; flat rows take the a = 0 limit below
+    # a draw at or beyond the bound makes log1p's argument <= -1: -inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.log1p(a * ratio) / a
+        v[flat] = ratio[flat]
+        out = np.expm1(v)
+    out[~(out <= _TIME_CAP)] = np.inf
     return out
 
 

@@ -151,6 +151,10 @@ class TestBenchmarkCommand:
                     "--reps", 1, "--out", tmp_path])
         assert code == 1
 
+    @pytest.mark.parametrize("sub", ["simulate", "explain", "validate"])
+    def test_threads_is_a_benchmark_option(self, tmp_path, sub):
+        assert run([sub, "--threads", 2, "--out", tmp_path]) == 1
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, tmp_path):

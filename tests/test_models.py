@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from survix.core import PredictionTarget, SurvivalDataset
 from survix.models import (
+    QUAD_ABS_TOL,
     ConvergenceError,
     CoxModel,
     GroundTruthModel,
@@ -22,6 +24,16 @@ from survix.models import (
 from survix.simulate import build_scenario, simulate_dataset
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
+
+# x = (c0, c1) sets the time-constant and log1p-time loads directly
+LOAD_MODEL = GroundTruthModel(lam=0.03, risk=RiskScoreSpec(2, (
+    RiskTerm((0,), 1.0), RiskTerm((1,), 1.0, time="log1p"))))
+# a = c1 + 1 spans bounded (a < 0), logarithmic (a = 0) and growing hazards
+C1_LOADS = st.one_of(
+    st.floats(-6.0, 4.0),
+    st.just(-1.0),
+    st.floats(-1e-6, 1e-6).map(lambda d: -1.0 + d),
+)
 
 
 class TestRiskScore:
@@ -144,6 +156,30 @@ class TestCumulativeHazard:
                     cumulative_hazard(model, X[i], t), abs=1e-10, rel=1e-12
                 )
 
+    @pytest.mark.parametrize("scenario", [2, 4, 5, 7, 9, 10])
+    def test_closed_form_matches_adaptive_quadrature(self, scenario):
+        model = build_scenario(scenario)
+        rng = np.random.default_rng(scenario)
+        X = 1.5 * rng.standard_normal((6, 3))
+        times = np.array([0.5, 3.4, 17.0, 41.0, 70.0])
+        H = model.cumulative_hazard_matrix(X, times)
+        oracle = np.array([[cumulative_hazard(model, x, t) for t in times] for x in X])
+        assert np.max(np.abs(H - oracle) / oracle) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c0=st.floats(-5.0, 5.0), c1=C1_LOADS, t=st.floats(0.0, 1e3))
+    def test_closed_form_property_vs_adaptive_quadrature(self, c0, c1, t):
+        x = np.array([c0, c1])
+        H = LOAD_MODEL.cumulative_hazard_matrix(x[None, :], [t])[0, 0]
+        assert H == pytest.approx(cumulative_hazard(LOAD_MODEL, x, t),
+                                  rel=1e-12, abs=QUAD_ABS_TOL)
+
+    def test_flat_load_takes_the_log_limit(self):
+        # a = 0 exactly: H = lam * e^c0 * log1p(t)
+        times = np.array([0.0, 1.0, 70.0])
+        H = LOAD_MODEL.cumulative_hazard_matrix(np.array([[0.3, -1.0]]), times)[0]
+        assert np.allclose(H, 0.03 * math.exp(0.3) * np.log1p(times), rtol=1e-15, atol=0)
+
     def test_survival_monotone_and_consistent(self):
         model = build_scenario(7)
         times = np.linspace(1, 70, 30)
@@ -200,6 +236,19 @@ class TestCoxFit:
         m1 = fit_coxph(data)
         m2 = fit_coxph(scaled)
         assert np.allclose(m1.beta, m2.beta * c, atol=1e-6, rtol=0)
+
+    def test_large_cohort_converges(self):
+        # at n = 20k the log-likelihood's rounding error exceeds an absolute
+        # step-halving guard of 1e-12, which stalled the Newton iterations
+        model = fit_coxph(simulate_dataset(1, n=20000, seed=3)[0])
+        assert model.iterations < 10
+        truth = np.array([0.4, -0.8, -0.6])
+        assert np.all(np.abs(model.beta - truth) < 3 * model.stderr)
+
+    def test_scenario10_cohort_converges(self):
+        model = fit_coxph(simulate_dataset(10, n=2000, seed=3940036142)[0])
+        assert model.iterations < 10
+        assert np.all(np.isfinite(model.beta))
 
     def test_constant_column_rejected(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])

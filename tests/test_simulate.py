@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survix.core import SurvivalDataset
 from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm, cumulative_hazard
 from survix.simulate import (
+    _TIME_CAP,
     FeatureSampler,
     apply_censoring,
     build_scenario,
@@ -17,6 +19,16 @@ from survix.simulate import (
 )
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
+
+# x = (c0, c1) sets the time-constant and log1p-time loads directly
+LOAD_MODEL = GroundTruthModel(lam=0.03, risk=RiskScoreSpec(2, (
+    RiskTerm((0,), 1.0), RiskTerm((1,), 1.0, time="log1p"))))
+C1_LOADS = st.one_of(
+    st.floats(-6.0, 4.0),
+    st.just(-1.0),
+    st.floats(-1e-6, 1e-6).map(lambda d: -1.0 + d),
+)
+UNIFORMS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 class TestScenarioCatalog:
@@ -86,8 +98,8 @@ class TestEventTimes:
 
     @pytest.mark.parametrize("scenario", [1, 3, 6, 8])
     def test_root_finder_matches_closed_form_on_ph_models(self, scenario):
-        # cross-check oracle: a zero-coefficient time term forces the root
-        # finder while leaving the hazard unchanged
+        # cross-check oracle: a zero-coefficient time term forces the general
+        # time-dependent inversion while leaving the hazard unchanged
         model = build_scenario(scenario)
         forced = GroundTruthModel(
             lam=model.lam,
@@ -121,6 +133,31 @@ class TestEventTimes:
         )
         t = simulate_event_time(model, np.array([1.0]), 0.05)
         assert t == math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c0=st.floats(-5.0, 5.0), c1=C1_LOADS, u=UNIFORMS)
+    def test_inversion_round_trip(self, c0, c1, u):
+        x = np.array([c0, c1])
+        t = simulate_event_time(LOAD_MODEL, x, u)
+        if math.isfinite(t):
+            H = LOAD_MODEL.cumulative_hazard_matrix(x[None, :], [t])[0, 0]
+            assert H == pytest.approx(-math.log(u), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c0=st.floats(-5.0, 5.0), c1=st.floats(-6.0, -1.0, exclude_max=True),
+           u=UNIFORMS)
+    def test_infinite_exactly_when_bounded_below_target(self, c0, c1, u):
+        # for a = c1 + 1 < 0, H rises to lam * e^c0 / (-a) and never beyond
+        x = np.array([c0, c1])
+        target = -math.log(u)
+        bound = 0.03 * math.exp(c0) / -(c1 + 1.0)
+        t = simulate_event_time(LOAD_MODEL, x, u)
+        if bound <= target * (1 - 1e-12):
+            assert t == math.inf
+        elif bound > target * (1 + 1e-12):
+            H_cap = LOAD_MODEL.cumulative_hazard_matrix(x[None, :], [_TIME_CAP])[0, 0]
+            # reachable: finite unless the event lies beyond the horizon cap
+            assert math.isfinite(t) == (H_cap >= target)
 
     def test_u_out_of_range(self):
         with pytest.raises(ValueError):
