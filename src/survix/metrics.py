@@ -58,39 +58,77 @@ def local_accuracy(explanations: Sequence[InteractionExplanation],
 
 def concordance_index(risk_scores: np.ndarray, data: SurvivalDataset) -> float:
     """Harrell's concordance: over pairs (i, j) with y_i < y_j and an event
-    at y_i, the fraction where the earlier failure has the higher risk score;
-    risk ties count one half."""
+    at y_i, the fraction where the earlier failure has the higher risk score.
+
+    Tie rules: pairs tied in time are not comparable; pairs tied in risk
+    count one half. Risk scores get dense ranks, so equal scores share a
+    rank. Sorted by time (ties by rank), the concordant pairs are, for each
+    event, the later rows of lower rank: a bottom-up merge counts them in
+    ceil(log2 n) vectorised binary-search passes. Risk ties are counted with
+    one sort over (rank, time). O(n log n) time, O(n) memory; all counts are
+    integers, so the result is exactly (concordant + ties / 2) / comparable.
+    """
     risk = np.asarray(risk_scores, dtype=float)
-    y, d = data.times, data.events
-    n = data.n
-    concordant = 0.0
-    comparable = 0
-    for i in range(n):
-        if d[i] != 1:
-            continue
-        later = y > y[i]
-        comparable += int(later.sum())
-        concordant += np.sum(risk[later] < risk[i])
-        concordant += 0.5 * np.sum(risk[later] == risk[i])
+    if risk.shape != (data.n,):
+        raise ValueError(
+            f"risk_scores must be a vector of length {data.n}, got shape {risk.shape}"
+        )
+    if not np.all(np.isfinite(risk)):
+        raise ValueError("risk_scores must be finite")
+    n, y, event = data.n, data.times, data.events == 1
+    _, rank = np.unique(risk, return_inverse=True)
+    _, time_rank = np.unique(y, return_inverse=True)
+    order = np.lexsort((rank, y))
+    comparable = int(np.sum(n - np.searchsorted(y[order], y[event], side="right")))
     if comparable == 0:
         raise ValueError("no comparable pairs in the dataset")
-    return float(concordant / comparable)
+    concordant = _later_lower_pairs(rank[order], event[order])
+    # same rank, strictly later time: keys in (rank * n + time_rank, (rank + 1) * n)
+    keys = rank * n + time_rank
+    sorted_keys = np.sort(keys)
+    ties = int(np.sum(np.searchsorted(sorted_keys, (rank[event] + 1) * n)
+                      - np.searchsorted(sorted_keys, keys[event], side="right")))
+    return float((concordant + 0.5 * ties) / comparable)
+
+
+def _later_lower_pairs(rank: np.ndarray, event: np.ndarray) -> int:
+    """Number of pairs i < j with event[i] and rank[j] < rank[i].
+
+    Bottom-up merge: at width w, ``perm`` lists the positions sorted by
+    (position // w, rank), so each width-w block is a sorted run that starts
+    at block * w. Every pair is split at exactly one width, where i lies in
+    an even block and j in the next one; a binary search for the event's
+    rank in that next block counts its lower ranks.
+    """
+    n = rank.size  # ranks are below n, so block * n + rank orders by block
+    perm = np.arange(n)
+    total = 0
+    width = 1
+    while width < n:
+        block = perm // width
+        keys = block * n + rank[perm]
+        ask = event[perm] & (block % 2 == 0) & ((block + 1) * width < n)
+        nxt = block[ask] + 1
+        total += int(np.sum(np.searchsorted(keys, nxt * n + rank[perm[ask]])
+                            - nxt * width))
+        width *= 2
+        # pairs of sorted runs: the stable sort merges them in linear time
+        perm = perm[np.argsort(perm // width * n + rank[perm], kind="stable")]
+    return total
 
 
 def censoring_km(data: SurvivalDataset):
     """Kaplan-Meier estimate of the censoring survival function G(t).
 
-    Returns (times, values) of the right-continuous step function.
+    Returns (times, values) of the right-continuous step function: one step
+    per distinct observed time t, with factor 1 - censored / at risk, where
+    every row with y >= t is at risk (rows tied at t included). Censorings
+    per distinct time come from one np.unique plus np.bincount, O(n log n).
     """
-    y, d = data.times, data.events
-    order = np.argsort(y, kind="stable")
-    ys, ds = y[order], d[order]
-    uniq, first = np.unique(ys, return_index=True)
-    n = ys.size
-    at_risk = n - first
-    censored = np.array([
-        np.sum((ys == t) & (ds == 0)) for t in uniq
-    ])
+    y = data.times
+    uniq, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+    at_risk = np.cumsum(counts[::-1])[::-1]
+    censored = np.bincount(inverse[data.events == 0], minlength=uniq.size)
     factors = 1.0 - censored / at_risk
     return uniq, np.cumprod(factors)
 
@@ -104,7 +142,13 @@ def _step_lookup(times, values, query, side):
 def integrated_brier(surv: np.ndarray, data: SurvivalDataset,
                      grid: TimeGrid) -> float:
     """Censoring-weighted Brier score integrated over the grid (trapezoid,
-    divided by the grid span)."""
+    divided by the grid span).
+
+    At each grid time t, a row with an event by t scores S(t)^2 / G(y-), a
+    row still at risk (y > t) scores (1 - S(t))^2 / G(t), and a row censored
+    by t scores 0. The terms fill one (T, n) array, so the cost is O(n T)
+    after the O(n log n) censoring Kaplan-Meier.
+    """
     surv = np.atleast_2d(np.asarray(surv, dtype=float))
     y, d = data.times, data.events
     if surv.shape != (data.n, len(grid)):
@@ -113,21 +157,22 @@ def integrated_brier(surv: np.ndarray, data: SurvivalDataset,
         raise ValueError("grid must end before the largest observed time")
     km_t, km_v = censoring_km(data)
     g_at_y = _step_lookup(km_t, km_v, y, side="left")  # limit from the left
-    bs = np.empty(len(grid))
-    for ti, t in enumerate(grid.points):
-        g_at_t = _step_lookup(km_t, km_v, t, side="right")
-        event_by_t = (y <= t) & (d == 1)
-        at_risk = y > t
-        if np.any(at_risk) and g_at_t <= 0:
-            raise ValueError(f"censoring survival reaches 0 before t={t}")
-        terms = np.zeros(data.n)
-        if np.any(event_by_t):
-            if np.any(g_at_y[event_by_t] <= 0):
-                raise ValueError("zero censoring weight at an event time")
-            terms[event_by_t] = surv[event_by_t, ti] ** 2 / g_at_y[event_by_t]
-        if np.any(at_risk):
-            terms[at_risk] = (1.0 - surv[at_risk, ti]) ** 2 / g_at_t
-        bs[ti] = terms.mean()
+    g_at_t = _step_lookup(km_t, km_v, grid.points, side="right")
+    at_risk = y > grid.points[:, None]
+    event_by_t = ~at_risk & (d == 1)
+    # the first grid time at which a weight is zero, checked as t increases
+    zero_g = at_risk.any(axis=1) & (g_at_t <= 0)
+    zero_w = (event_by_t & (g_at_y <= 0)).any(axis=1)
+    if np.any(zero_g | zero_w):
+        ti = int(np.argmax(zero_g | zero_w))
+        if zero_g[ti]:
+            raise ValueError(f"censoring survival reaches 0 before t={grid.points[ti]}")
+        raise ValueError("zero censoring weight at an event time")
+    s = surv.T
+    terms = np.zeros(s.shape)
+    np.divide(s ** 2, g_at_y, out=terms, where=event_by_t)
+    np.divide((1.0 - s) ** 2, g_at_t[:, None], out=terms, where=at_risk)
+    bs = terms.mean(axis=1)
     span = grid.points[-1] - grid.points[0]
     if span == 0:
         return float(bs[0])

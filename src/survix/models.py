@@ -431,7 +431,9 @@ def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
 
     Features are centered at their training means for numerical stability;
     predictions are invariant to the centering. Standard errors come from
-    the inverse observed information.
+    the inverse observed information. The derivatives are evaluated once at
+    the start and once per step-halving trial; the accepted trial's
+    evaluation serves the next iteration and the standard errors.
     """
     X = np.asarray(data.features, dtype=float)
     y = np.asarray(data.times, dtype=float)
@@ -451,9 +453,10 @@ def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
     ev = np.flatnonzero(ds == 1)
 
     beta = np.zeros(p)
+    current = _breslow_derivatives(Xs, ds, risk_start, ev, beta)
     trace = []
     for iteration in range(1, max_iter + 1):
-        loglik, grad, info = _breslow_derivatives(Xs, ds, risk_start, ev, beta)
+        loglik, grad, info = current
         trace.append((iteration, float(loglik), float(np.linalg.norm(grad))))
         if np.linalg.norm(beta) > 50:
             raise ConvergenceError(
@@ -465,21 +468,24 @@ def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular information matrix: {exc}", trace)
-        # step-halving keeps the likelihood monotone
+        # step-halving keeps the likelihood monotone; the accepted
+        # evaluation carries over to the next iteration
         new_beta = beta + step
         for _ in range(30):
-            new_ll = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)[0]
-            if new_ll >= loglik - 1e-12 * max(1.0, abs(loglik)):
+            candidate = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)
+            if candidate[0] >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             step *= 0.5
             new_beta = beta + step
-        beta = new_beta
+        else:
+            candidate = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)
+        beta, current = new_beta, candidate
     else:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations", trace
         )
 
-    loglik, grad, info = _breslow_derivatives(Xs, ds, risk_start, ev, beta)
+    info = current[2]
     try:
         stderr = np.sqrt(np.diag(np.linalg.inv(info)))
     except np.linalg.LinAlgError:

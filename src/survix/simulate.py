@@ -164,8 +164,8 @@ def simulate_event_times(model: GroundTruthModel, X: np.ndarray,
     a = c1 + 1 (see GroundTruthModel.loads), T = expm1(log1p(a * tau / k) / a)
     for tau = -log(u), and expm1(tau / k) when a = 0. Proportional-hazards
     models (time-independent risk score) use T = tau / k. When a < 0 the
-    cumulative hazard is bounded by k / (-a); draws at or above that bound,
-    and event times beyond _TIME_CAP, give +inf.
+    cumulative hazard is bounded by k / (-a); draws at or above that bound
+    give +inf, and so do event times beyond _TIME_CAP on either path.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_1d(np.asarray(U, dtype=float))
@@ -174,15 +174,16 @@ def simulate_event_times(model: GroundTruthModel, X: np.ndarray,
     c0, c1 = model.loads(X)
     ratio = -np.log(U) / (model.lam * np.exp(c0))
     if model.time_independent:
-        return ratio
-    a = c1 + 1.0
-    flat = a == 0.0
-    a[flat] = 1.0  # any divisor; flat rows take the a = 0 limit below
-    # a draw at or beyond the bound makes log1p's argument <= -1: -inf or nan
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.log1p(a * ratio) / a
-        v[flat] = ratio[flat]
-        out = np.expm1(v)
+        out = ratio
+    else:
+        a = c1 + 1.0
+        flat = a == 0.0
+        a[flat] = 1.0  # any divisor; flat rows take the a = 0 limit below
+        # a draw at or beyond the bound makes log1p's argument <= -1: -inf or nan
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = np.log1p(a * ratio) / a
+            v[flat] = ratio[flat]
+            out = np.expm1(v)
     out[~(out <= _TIME_CAP)] = np.inf
     return out
 

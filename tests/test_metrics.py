@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survix.core import (
     InteractionExplanation,
@@ -10,6 +11,7 @@ from survix.core import (
 from survix.games import MarginalEmpiricalImputer
 from survix.interactions import explain, explain_instances
 from survix.metrics import (
+    _step_lookup,
     approximation_error,
     censoring_km,
     classify_time_dependence,
@@ -19,7 +21,13 @@ from survix.metrics import (
     savgol_smooth,
     smooth_explanation,
 )
-from survix.simulate import FeatureSampler, build_scenario, sample_features
+from survix.models import fit_coxph
+from survix.simulate import (
+    FeatureSampler,
+    build_scenario,
+    sample_features,
+    simulate_dataset,
+)
 
 
 def _expl(values, baseline=None, order=2, n_points=5, target=PredictionTarget.HAZARD):
@@ -70,6 +78,140 @@ class TestLocalAccuracy:
             local_accuracy(expls, np.zeros((1, 5)))
 
 
+# -- oracles: the direct loops the vectorised metrics must equal exactly --
+
+def _concordance_oracle(risk_scores, data):
+    risk = np.asarray(risk_scores, dtype=float)
+    y, d = data.times, data.events
+    concordant = 0.0
+    comparable = 0
+    for i in range(data.n):
+        if d[i] != 1:
+            continue
+        later = y > y[i]
+        comparable += int(later.sum())
+        concordant += np.sum(risk[later] < risk[i])
+        concordant += 0.5 * np.sum(risk[later] == risk[i])
+    if comparable == 0:
+        raise ValueError("no comparable pairs in the dataset")
+    return float(concordant / comparable)
+
+
+def _censoring_km_oracle(data):
+    y, d = data.times, data.events
+    order = np.argsort(y, kind="stable")
+    ys, ds = y[order], d[order]
+    uniq, first = np.unique(ys, return_index=True)
+    at_risk = ys.size - first
+    censored = np.array([np.sum((ys == t) & (ds == 0)) for t in uniq])
+    return uniq, np.cumprod(1.0 - censored / at_risk)
+
+
+def _integrated_brier_oracle(surv, data, grid):
+    y, d = data.times, data.events
+    if grid.points[-1] >= y.max():
+        raise ValueError("grid must end before the largest observed time")
+    km_t, km_v = _censoring_km_oracle(data)
+    g_at_y = _step_lookup(km_t, km_v, y, side="left")
+    bs = np.empty(len(grid))
+    for ti, t in enumerate(grid.points):
+        g_at_t = _step_lookup(km_t, km_v, t, side="right")
+        event_by_t = (y <= t) & (d == 1)
+        at_risk = y > t
+        if np.any(at_risk) and g_at_t <= 0:
+            raise ValueError(f"censoring survival reaches 0 before t={t}")
+        terms = np.zeros(data.n)
+        if np.any(event_by_t):
+            if np.any(g_at_y[event_by_t] <= 0):
+                raise ValueError("zero censoring weight at an event time")
+            terms[event_by_t] = surv[event_by_t, ti] ** 2 / g_at_y[event_by_t]
+        if np.any(at_risk):
+            terms[at_risk] = (1.0 - surv[at_risk, ti]) ** 2 / g_at_t
+        bs[ti] = terms.mean()
+    span = grid.points[-1] - grid.points[0]
+    if span == 0:
+        return float(bs[0])
+    return float(np.trapezoid(bs, grid.points) / span)
+
+
+def _outcome(fn, *args):
+    """The value, or the message of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _cohorts(draw):
+    """Small cohorts with tied times, tied risks, heavy censoring or a single
+    event, plus a survival matrix and a grid for the Brier score."""
+    n = draw(st.integers(1, 200))
+    time_levels = draw(st.sampled_from([2, 5, 10_000]))
+    risk_levels = draw(st.sampled_from([1, 3, 10_000]))
+    times = draw(st.lists(st.integers(0, time_levels), min_size=n, max_size=n))
+    risks = draw(st.lists(st.integers(-risk_levels, risk_levels), min_size=n, max_size=n))
+    censoring = draw(st.sampled_from(["none", "mixed", "heavy", "single"]))
+    if censoring == "single":
+        events = [0] * n
+        events[draw(st.integers(0, n - 1))] = 1
+    else:
+        share = {"none": 1.0, "mixed": 0.5, "heavy": 0.05}[censoring]
+        events = [int(u < share) for u in
+                  draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=n, max_size=n))]
+        events[0] = 1
+    data = SurvivalDataset(np.zeros((n, 1)), np.array(times, float),
+                           np.array(events, int))
+    risk = 0.37 * np.array(risks, float)
+    n_points = draw(st.integers(1, 6))
+    grid = build_time_grid(draw(st.floats(0.1, 1.2)) * max(time_levels, 1), n_points)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    surv = rng.uniform(size=(n, n_points))
+    return data, risk, surv, grid
+
+
+@pytest.fixture(scope="module")
+def scenario_fits():
+    """Cox fits on all ten scenarios at n = 2000 with their grids."""
+    fits = []
+    for scenario in range(1, 11):
+        data, _ = simulate_dataset(scenario, n=2000, seed=40 + scenario)
+        cox = fit_coxph(data)
+        grid = build_time_grid(min(65.0, 0.95 * float(data.times.max())), 41)
+        fits.append((data, cox, grid))
+    return fits
+
+
+class TestMetricsEqualOracles:
+    def test_scenarios_concordance(self, scenario_fits):
+        for data, cox, _ in scenario_fits:
+            risk = cox.linear_predictor(data.features)
+            assert concordance_index(risk, data) == _concordance_oracle(risk, data)
+            tied = np.round(risk, 1)
+            assert concordance_index(tied, data) == _concordance_oracle(tied, data)
+
+    def test_scenarios_censoring_km_and_brier(self, scenario_fits):
+        for data, cox, grid in scenario_fits:
+            km_t, km_v = censoring_km(data)
+            oracle_t, oracle_v = _censoring_km_oracle(data)
+            assert np.array_equal(km_t, oracle_t) and np.array_equal(km_v, oracle_v)
+            surv = cox.survival_matrix(data.features, grid.points)
+            assert integrated_brier(surv, data, grid) == \
+                _integrated_brier_oracle(surv, data, grid)
+
+    @settings(max_examples=200)
+    @given(_cohorts())
+    def test_small_cohorts(self, cohort):
+        data, risk, surv, grid = cohort
+        assert _outcome(concordance_index, risk, data) == \
+            _outcome(_concordance_oracle, risk, data)
+        km_t, km_v = censoring_km(data)
+        oracle_t, oracle_v = _censoring_km_oracle(data)
+        assert np.array_equal(km_t, oracle_t) and np.array_equal(km_v, oracle_v)
+        assert _outcome(integrated_brier, surv, data, grid) == \
+            _outcome(_integrated_brier_oracle, surv, data, grid)
+
+
 class TestConcordance:
     def _data(self, times, events, p=1):
         X = np.zeros((len(times), p))
@@ -101,6 +243,19 @@ class TestConcordance:
         data = self._data([2.0, 2.0], [1, 1])
         with pytest.raises(ValueError):
             concordance_index(np.array([1.0, 2.0]), data)
+
+    def test_length_mismatch_rejected(self):
+        data = self._data([1, 2, 3], [1, 1, 1])
+        with pytest.raises(ValueError, match="length 3"):
+            concordance_index(np.array([1.0, 2.0]), data)
+
+    def test_non_finite_risk_rejected(self):
+        # the direct loop scored this 0.0: every comparison with NaN is false
+        data = self._data([1, 2, 3], [1, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            concordance_index(np.array([np.nan, 1.0, 2.0]), data)
+        with pytest.raises(ValueError, match="finite"):
+            concordance_index(np.array([np.inf, 1.0, 2.0]), data)
 
 
 class TestIntegratedBrier:

@@ -134,7 +134,21 @@ class TestEventTimes:
         t = simulate_event_time(model, np.array([1.0]), 0.05)
         assert t == math.inf
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_time_cap_applies_to_both_hazard_forms(self):
+        # the proportional-hazards shortcut and the general inversion of the
+        # same hazard (zero-coefficient log1p term) both cap at _TIME_CAP
+        model = build_scenario(1)
+        forced = GroundTruthModel(
+            lam=model.lam,
+            risk=RiskScoreSpec(
+                p=3, terms=model.risk.terms + (RiskTerm((0,), 0.0, time="log1p"),)
+            ),
+        )
+        x = np.array([-10.0, 10.0, 10.0])
+        assert simulate_event_time(model, x, 0.5) == math.inf
+        assert simulate_event_time(forced, x, 0.5) == math.inf
+
+    @settings(max_examples=300)
     @given(c0=st.floats(-5.0, 5.0), c1=C1_LOADS, u=UNIFORMS)
     def test_inversion_round_trip(self, c0, c1, u):
         x = np.array([c0, c1])
@@ -143,7 +157,7 @@ class TestEventTimes:
             H = LOAD_MODEL.cumulative_hazard_matrix(x[None, :], [t])[0, 0]
             assert H == pytest.approx(-math.log(u), rel=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(c0=st.floats(-5.0, 5.0), c1=st.floats(-6.0, -1.0, exclude_max=True),
            u=UNIFORMS)
     def test_infinite_exactly_when_bounded_below_target(self, c0, c1, u):
