@@ -2,9 +2,14 @@
 
 All three estimators count one budget unit per distinct coalition whose value
 curve is evaluated (reference-row predictions inside a single value are not
-budget units). The empty and full coalitions are always evaluated first.
-When the budget covers full enumeration, every estimator defers to the exact
+budget units). The empty and full coalitions are always evaluated. When the
+budget covers full enumeration, every estimator defers to the exact
 computation.
+
+Each estimator plans, then evaluates. What the designs draw never depends on
+the values, so the sampling loop draws and budgets coalitions first; then one
+``SurvivalGame.values_for_masks`` call fetches them all, and Monte Carlo and
+permutation take every sampled (K, M) discrete derivative together.
 """
 
 from __future__ import annotations
@@ -12,59 +17,77 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
 from .core import coalition_iter, mask_size
-from .games import SurvivalGame, ValueTable, evaluate_all_coalitions
-from .interactions import aggregate_ksii, exact_ksii, exact_sii
+from .games import SurvivalGame, evaluate_all_coalitions
+from .interactions import _submasks, aggregate_ksii, exact_ksii
 
 RIDGE = 1e-8
 _COND_LIMIT = 1e8
 
 
-class _BudgetedValues:
-    """Coalition-value cache that charges one budget unit per new coalition."""
+def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
+    """Run the estimator named ``method``; returns (ksii, info).
 
-    def __init__(self, game: SurvivalGame, budget: int):
-        self.game = game
-        self.budget = budget
-        self.cache: Dict[int, np.ndarray] = {}
-        self._fetch([0, game.full_mask])
+    A regression that samples, with a budget below full enumeration, needs a
+    budget of at least 2*(k+1); at full enumeration every method is exact.
+    """
+    # built per call, so a wrapped module attribute is the function called
+    runner = {
+        "mc": approx_montecarlo,
+        "permutation": approx_permutation,
+        "regression": approx_regression,
+    }[method]
+    if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
+        raise ValueError("regression needs budget >= 2*(order+1)")
+    return runner(game, k, budget, seed)
 
-    @property
-    def spent(self) -> int:
-        return len(self.cache)
 
-    def affordable(self, masks: Sequence[int]) -> bool:
-        new = {m for m in masks if m not in self.cache}
-        return self.spent + len(new) <= self.budget
+def _evaluate(game: SurvivalGame, planned: Iterable[int]):
+    """Sorted distinct planned coalitions and their value curves, fetched in
+    one ``values_for_masks`` call."""
+    masks = np.unique(np.fromiter(planned, dtype=np.int64))
+    return masks, game.values_for_masks(masks)
 
-    def _fetch(self, masks: Sequence[int]) -> None:
-        new = sorted({m for m in masks if m not in self.cache})
-        if not new:
-            return
-        values = self.game.values_for_masks(new)
-        for mask, val in zip(new, values):
-            self.cache[mask] = val
 
-    def get(self, masks: Sequence[int]) -> List[np.ndarray]:
-        if not self.affordable(masks):
-            raise RuntimeError("budget exhausted")
-        self._fetch(masks)
-        return [self.cache[m] for m in masks]
+def _mean_derivatives(game: SurvivalGame, targets: List[int],
+                      samples: List[Tuple[int, int]], planned: Set[int]):
+    """Mean discrete derivative of each target K over its sampled (K, M)
+    pairs, plus the number of coalitions evaluated.
 
-    def delta(self, K: int, M: int) -> np.ndarray:
-        """Discrete derivative of K on top of M from cached/new evaluations."""
-        subsets = _subsets_of(K)
-        vals = self.get([M | sub for sub in subsets])
-        kp = mask_size(K)
-        out = np.zeros_like(vals[0])
-        for sub, val in zip(subsets, vals):
-            sign = -1.0 if (kp - mask_size(sub)) % 2 else 1.0
-            out += sign * val
-        return out
+    Each derivative is the signed sum of the values of M | L over the
+    submasks L of K, added in descending submask order, and each target's
+    derivatives are summed in draw order: a fixed order of float additions,
+    so an estimate is reproducible bit for bit.
+    """
+    masks, values = _evaluate(game, planned)
+    T = values.shape[1]
+    sizes = np.array([mask_size(K) for K in targets])
+    index = {K: i for i, K in enumerate(targets)}
+    t = np.array([index[K] for K, _ in samples], dtype=np.intp)
+    conditioning = np.array([M for _, M in samples], dtype=np.int64)
+    deltas = np.empty((t.size, T))
+    for s in np.unique(sizes[t]):
+        group = np.flatnonzero(sizes == s)
+        subs = np.stack([_submasks(targets[i]) for i in group])  # (targets, 2^s)
+        rows = np.flatnonzero(sizes[t] == s)
+        at = np.searchsorted(masks, conditioning[rows, None]
+                             | subs[np.searchsorted(group, t[rows])])
+        acc = np.zeros((rows.size, T))
+        for j, L in enumerate(subs[0]):
+            acc += (-1.0 if (s - mask_size(int(L))) % 2 else 1.0) * values[at[:, j]]
+        deltas[rows] = acc
+    sums = np.zeros((len(targets), T))
+    np.add.at(sums, t, deltas)
+    counts = np.bincount(t, minlength=len(targets))
+    sii = {
+        K: (sums[i] / counts[i]) if counts[i] else np.zeros(T)
+        for i, K in enumerate(targets)
+    }
+    return sii, int(masks.size)
 
 
 def _exact_fallback(game: SurvivalGame, k: int):
@@ -93,53 +116,38 @@ def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
     p = game.p
     if budget >= (1 << p):
         return _exact_fallback(game, k)
-    bank = _BudgetedValues(game, budget)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
     targets = _targets(p, k)
-    sums = {K: None for K in targets}
-    counts = {K: 0 for K in targets}
+    rests = {K: [j for j in range(p) if not (K >> j) & 1] for K in targets}
+    subs = {K: _submasks(K).tolist() for K in targets}
+    planned = {0, game.full_mask}
+    samples: List[Tuple[int, int]] = []
     exhausted = False
     while not exhausted:
         progress = False
         for K in targets:
-            rest = [j for j in range(p) if not (K >> j) & 1]
+            rest = rests[K]
             m_size = int(rng.integers(0, len(rest) + 1))
             chosen = rng.choice(len(rest), size=m_size, replace=False) if m_size else []
             M = 0
             for c in chosen:
                 M |= 1 << rest[int(c)]
-            needed = [M | sub for sub in _subsets_of(K)]
-            if not bank.affordable(needed):
+            new = {M | L for L in subs[K]} - planned
+            if len(planned) + len(new) > budget:
                 exhausted = True
                 break
-            d = bank.delta(K, M)
-            sums[K] = d if sums[K] is None else sums[K] + d
-            counts[K] += 1
+            planned |= new
+            samples.append((K, M))
             progress = True
         if not progress:
             break
-    T = len(game.grid)
-    sii = {
-        K: (sums[K] / counts[K]) if counts[K] else np.zeros(T)
-        for K in targets
-    }
+    sii, evaluations = _mean_derivatives(game, targets, samples, planned)
     ksii = aggregate_ksii(sii, k, p)
-    info = {"method": "mc", "evaluations": bank.spent,
+    info = {"method": "mc", "evaluations": evaluations,
             "samples": {mask_size(K): 0 for K in targets}}
-    for K in targets:
-        info["samples"][mask_size(K)] += counts[K]
+    for K, _ in samples:
+        info["samples"][mask_size(K)] += 1
     return ksii, info
-
-
-def _subsets_of(mask: int) -> List[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,46 +164,32 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
     p = game.p
     if budget >= (1 << p):
         return _exact_fallback(game, k)
-    bank = _BudgetedValues(game, budget)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 211)))
     targets = _targets(p, k)
-    sums: Dict[int, np.ndarray] = {}
-    counts = {K: 0 for K in targets}
+    subs = {K: _submasks(K).tolist() for K in targets}
+    planned = {0, game.full_mask}
+    samples: List[Tuple[int, int]] = []
     n_perms = 0
     while True:
         perm = rng.permutation(p)
-        needed = set()
-        samples: List[Tuple[int, int]] = []  # (K mask, M mask)
-        prefix = 0
         prefixes = [0]
         for j in perm:
-            prefix |= 1 << int(j)
-            prefixes.append(prefix)
+            prefixes.append(prefixes[-1] | 1 << int(j))
+        drawn = []  # (K mask, M mask): a window and the prefix before it
         for order in range(1, k + 1):
             for pos in range(p - order + 1):
-                K = 0
-                for j in perm[pos:pos + order]:
-                    K |= 1 << int(j)
-                M = prefixes[pos]
-                samples.append((K, M))
-                for sub in _subsets_of(K):
-                    needed.add(M | sub)
-        if not bank.affordable(needed):
+                drawn.append((prefixes[pos + order] ^ prefixes[pos], prefixes[pos]))
+        new = {M | L for K, M in drawn for L in subs[K]} - planned
+        if len(planned) + len(new) > budget:
             break
-        for K, M in samples:
-            d = bank.delta(K, M)
-            sums[K] = d if K not in sums else sums[K] + d
-            counts[K] += 1
+        planned |= new
+        samples.extend(drawn)
         n_perms += 1
-        if bank.spent >= budget:
+        if len(planned) >= budget:
             break
-    T = len(game.grid)
-    sii = {
-        K: (sums[K] / counts[K]) if counts[K] else np.zeros(T)
-        for K in targets
-    }
+    sii, evaluations = _mean_derivatives(game, targets, samples, planned)
     ksii = aggregate_ksii(sii, k, p)
-    info = {"method": "permutation", "evaluations": bank.spent,
+    info = {"method": "permutation", "evaluations": evaluations,
             "permutations": n_perms}
     return ksii, info
 
@@ -304,15 +298,15 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int,
         return _exact_fallback(game, k)
     basis = list(coalition_iter(p, k))  # leading entry is the empty set
     n_basis = len(basis)
-    bank = _BudgetedValues(game, budget)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
     n_rows = min(budget - 2, (1 << p) - 2)
     masks, weights = _sample_coalitions(p, n_rows, rng)
-    values = np.vstack(bank.get(masks))  # (n_rows, T)
+    masks = np.array(masks, dtype=np.int64)
+    planned, fetched = _evaluate(game, np.concatenate([[0, game.full_mask], masks]))
+    values = fetched[np.searchsorted(planned, masks)]  # (n_rows, T)
 
-    A = np.empty((len(masks), n_basis))
-    for col, S in enumerate(basis):
-        A[:, col] = [1.0 if (m & S) == S else 0.0 for m in masks]
+    cols = np.array(basis, dtype=np.int64)
+    A = ((masks[:, None] & cols) == cols).astype(float)
     sqrtw = np.sqrt(weights)
     Aw = A * sqrtw[:, None]
 
@@ -321,7 +315,7 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int,
     C = np.zeros((2, n_basis))
     C[0, 0] = 1.0
     C[1, :] = 1.0
-    d = np.vstack([bank.cache[0], bank.cache[game.full_mask]])  # (2, T)
+    d = fetched[np.searchsorted(planned, [0, game.full_mask])]  # (2, T)
 
     sv = np.linalg.svd(np.vstack([Aw, C]), compute_uv=False)
     rank = int(np.sum(sv > sv[0] * (len(masks) + 2) * np.finfo(float).eps))
@@ -357,7 +351,7 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int,
     ksii = {S: coef[col] for col, S in enumerate(basis) if S != 0}
     info = {
         "method": "regression",
-        "evaluations": bank.spent,
+        "evaluations": int(planned.size),
         "n_basis": n_basis,
         "design_rows": len(masks),
         "design_rank": rank,

@@ -5,6 +5,11 @@ distribution (imputer) and a time grid. The value of a coalition at each
 grid point is the mean prediction with coalition features pinned to the
 instance and the rest imputed, minus the unconditional mean prediction, so
 the empty coalition is worth exactly zero.
+
+``SurvivalGame.values_for_masks`` takes every coalition a caller needs at
+once: per chunk of at most ``_BATCH_FLOAT_BUDGET`` floats it makes one
+``rows_for(x, masks)`` call and one prediction. A value is the mean over its
+own rows only, whatever else shares its chunk.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ PredictFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # transient row batches are capped at roughly this many floats
 _BATCH_FLOAT_BUDGET = 24_000_000
 _TABLE_BYTE_BUDGET = 2 << 30
+# a failed prediction names at most this many of its chunk's coalitions
+_LABELS_IN_ERROR = 8
 
 
 def conditional_gaussian_params(mean: np.ndarray, cov: np.ndarray,
@@ -73,11 +80,16 @@ class MarginalEmpiricalImputer:
     def reference_rows(self) -> np.ndarray:
         return self.background
 
-    def rows_for(self, x: np.ndarray, mask: int) -> np.ndarray:
-        rows = self.background.copy()
-        for j in indices_from_mask(mask):
-            rows[:, j] = x[j]
-        return rows
+    def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
+        """(len(masks) * n_reference, p) rows, mask by mask: the background
+        with the coalition's features pinned to ``x``."""
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        bits = ((masks[:, None] >> np.arange(self.p)) & 1).astype(bool)
+        rows = np.empty((masks.size,) + self.background.shape)
+        rows[:] = self.background
+        # (mask, feature, row) view: each pinned feature is one column write
+        rows.transpose(0, 2, 1)[bits] = x[np.nonzero(bits)[1]][:, None]
+        return rows.reshape(-1, self.p)
 
 
 class ConditionalGaussianImputer:
@@ -117,25 +129,31 @@ class ConditionalGaussianImputer:
     def reference_rows(self) -> np.ndarray:
         return self._reference
 
-    def rows_for(self, x: np.ndarray, mask: int) -> np.ndarray:
-        cond = list(indices_from_mask(mask))
-        if len(cond) == 0:
-            return self._reference.copy()
-        rows = np.tile(np.asarray(x, dtype=float), (self.n_samples, 1))
-        if len(cond) == self.p:
-            return rows
-        rest = [i for i in range(self.p) if i not in cond]
-        cond_mean, cond_cov = conditional_gaussian_params(
-            self.mean, self.covariance, cond, x[cond]
-        )
-        # PSD up to roundoff; clip tiny negative eigenvalues via jitter
-        try:
-            chol = np.linalg.cholesky(cond_cov)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * np.eye(len(rest))
-            chol = np.linalg.cholesky(cond_cov + jitter)
-        rows[:, rest] = cond_mean + self._z[:, rest] @ chol.T
-        return rows
+    def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
+        """(len(masks) * n_samples, p) rows, mask by mask; each coalition
+        has its own Gaussian conditional, so each block is built alone."""
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        rows = np.empty((masks.size, self.n_samples, self.p))
+        for block, mask in zip(rows, masks.tolist()):
+            cond = list(indices_from_mask(mask))
+            if len(cond) == 0:
+                block[:] = self._reference
+                continue
+            block[:] = x
+            if len(cond) == self.p:
+                continue
+            rest = [i for i in range(self.p) if i not in cond]
+            cond_mean, cond_cov = conditional_gaussian_params(
+                self.mean, self.covariance, cond, x[cond]
+            )
+            # PSD up to roundoff; clip tiny negative eigenvalues via jitter
+            try:
+                chol = np.linalg.cholesky(cond_cov)
+            except np.linalg.LinAlgError:
+                jitter = 1e-12 * np.eye(len(rest))
+                chol = np.linalg.cholesky(cond_cov + jitter)
+            block[:, rest] = cond_mean + self._z[:, rest] @ chol.T
+        return rows.reshape(-1, self.p)
 
 
 @dataclass
@@ -181,36 +199,30 @@ class SurvivalGame:
         return self.values_for_masks([mask])[0]
 
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
-        """(n_masks, T) value curves, batching all imputations per chunk."""
+        """(n_masks, T) value curves in the order of ``masks``; the empty
+        and full coalitions need no imputation."""
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
         T = len(self.grid)
-        out = np.empty((len(masks), T))
+        out = np.empty((masks.size, T))
         base = self.baseline()
-        pending: list[tuple[int, int]] = []
-        for pos, mask in enumerate(masks):
-            if mask == 0:
-                out[pos] = 0.0
-            elif mask == self.full_mask:
-                out[pos] = self.full_prediction() - base
-            else:
-                pending.append((pos, mask))
+        out[masks == 0] = 0.0
+        full = masks == self.full_mask
+        if full.any():
+            out[full] = self.full_prediction() - base
+        pending = np.flatnonzero((masks != 0) & ~full)
         n_ref = self.imputer.n_reference
         chunk = max(1, _BATCH_FLOAT_BUDGET // max(n_ref * max(T, self.p), 1))
-        for lo in range(0, len(pending), chunk):
+        for lo in range(0, pending.size, chunk):
             part = pending[lo:lo + chunk]
-            rows = np.concatenate(
-                [self.imputer.rows_for(self.x, mask) for _, mask in part], axis=0
-            )
+            rows = self.imputer.rows_for(self.x, masks[part])
             try:
                 preds = np.asarray(self.predict(rows, self.grid.points))
             except Exception as exc:
-                labels = [coalition_label(indices_from_mask(m)) for _, m in part]
-                raise RuntimeError(
-                    f"prediction failed for coalitions {labels}: {exc}"
-                ) from exc
-            preds = preds.reshape(len(part), n_ref, T)
-            means = preds.mean(axis=1) - base
-            for row, (pos, _) in zip(means, part):
-                out[pos] = row
+                labels = [coalition_label(indices_from_mask(int(m)))
+                          for m in masks[part[:_LABELS_IN_ERROR]]]
+                raise RuntimeError(f"prediction failed for {part.size} "
+                                   f"coalitions, starting {labels}: {exc}") from exc
+            out[part] = preds.reshape(part.size, n_ref, T).mean(axis=1) - base
         return out
 
 

@@ -282,15 +282,8 @@ def explain(predict, x, imputer, grid: TimeGrid, order: int,
             "table_scale": float(np.max(np.abs(table.values))),
         }
     elif isinstance(method, ApproximatorConfig):
-        cfg = method
-        if cfg.method == "regression" and cfg.budget < 2 * (order + 1):
-            raise ValueError("regression needs budget >= 2*(order+1)")
-        runner = {
-            "mc": approximators.approx_montecarlo,
-            "permutation": approximators.approx_permutation,
-            "regression": approximators.approx_regression,
-        }[cfg.method]
-        ksii, info = runner(game, order, cfg.budget, cfg.seed)
+        ksii, info = approximators.estimate(game, order, method.method,
+                                            method.budget, method.seed)
     else:
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
 

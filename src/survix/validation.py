@@ -382,11 +382,6 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
     table = evaluate_all_coalitions(game)
     exact = exact_ksii(table, order)
-    runners = {
-        "mc": approximators.approx_montecarlo,
-        "permutation": approximators.approx_permutation,
-        "regression": approximators.approx_regression,
-    }
     jobs = [
         (method, budget, rep)
         for method in methods for budget in budgets for rep in range(repetitions)
@@ -396,8 +391,8 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
         method, budget, rep = job
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
-            est, info = runners[method](game, order, budget,
-                                        seed=seed + 7919 * rep)
+            est, info = approximators.estimate(game, order, method, budget,
+                                               seed + 7919 * rep)
         sq = 0.0
         count = 0
         for mask, curve in exact.items():

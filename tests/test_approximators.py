@@ -3,15 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survix.approximators import (
+    _COND_LIMIT,
+    RIDGE,
+    _sample_coalitions,
     approx_montecarlo,
     approx_permutation,
     approx_regression,
+    estimate,
 )
-from survix.core import PredictionTarget, build_time_grid
+from survix.core import PredictionTarget, build_time_grid, coalition_iter, mask_size
 from survix.games import MarginalEmpiricalImputer, SurvivalGame, evaluate_all_coalitions
-from survix.interactions import exact_ksii, exact_sii
+from survix.interactions import aggregate_ksii, exact_ksii, exact_sii
 from survix.simulate import FeatureSampler, build_scenario, sample_features
 from survix.validation import benchmark_game
 
@@ -214,3 +220,300 @@ class TestRegression:
             return float(np.median(errs))
 
         assert med_err(512) <= med_err(128)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the estimators as they were before planning and evaluation were
+# split, fetching values as the sampling loops go and differencing one
+# sample at a time
+# ---------------------------------------------------------------------------
+
+def _oracle_subsets_of(mask):
+    out = []
+    sub = mask
+    while True:
+        out.append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return out
+
+
+class _OracleValues:
+    """Coalition-value cache that charges one budget unit per new coalition."""
+
+    def __init__(self, game, budget):
+        self.game = game
+        self.budget = budget
+        self.cache = {}
+        self._fetch([0, game.full_mask])
+
+    @property
+    def spent(self):
+        return len(self.cache)
+
+    def affordable(self, masks):
+        new = {m for m in masks if m not in self.cache}
+        return self.spent + len(new) <= self.budget
+
+    def _fetch(self, masks):
+        new = sorted({m for m in masks if m not in self.cache})
+        if not new:
+            return
+        values = self.game.values_for_masks(new)
+        for mask, val in zip(new, values):
+            self.cache[mask] = val
+
+    def get(self, masks):
+        if not self.affordable(masks):
+            raise RuntimeError("budget exhausted")
+        self._fetch(masks)
+        return [self.cache[m] for m in masks]
+
+    def delta(self, K, M):
+        subsets = _oracle_subsets_of(K)
+        vals = self.get([M | sub for sub in subsets])
+        kp = mask_size(K)
+        out = np.zeros_like(vals[0])
+        for sub, val in zip(subsets, vals):
+            sign = -1.0 if (kp - mask_size(sub)) % 2 else 1.0
+            out += sign * val
+        return out
+
+
+def _oracle_fallback(game, k):
+    ksii = exact_ksii(evaluate_all_coalitions(game), k)
+    return ksii, {"method": "exact_fallback", "evaluations": 1 << game.p}
+
+
+def _oracle_targets(p, k):
+    return [m for m in coalition_iter(p, k) if m]
+
+
+def oracle_montecarlo(game, k, budget, seed):
+    p = game.p
+    if budget >= (1 << p):
+        return _oracle_fallback(game, k)
+    bank = _OracleValues(game, budget)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
+    targets = _oracle_targets(p, k)
+    sums = {K: None for K in targets}
+    counts = {K: 0 for K in targets}
+    exhausted = False
+    while not exhausted:
+        progress = False
+        for K in targets:
+            rest = [j for j in range(p) if not (K >> j) & 1]
+            m_size = int(rng.integers(0, len(rest) + 1))
+            chosen = rng.choice(len(rest), size=m_size, replace=False) if m_size else []
+            M = 0
+            for c in chosen:
+                M |= 1 << rest[int(c)]
+            needed = [M | sub for sub in _oracle_subsets_of(K)]
+            if not bank.affordable(needed):
+                exhausted = True
+                break
+            d = bank.delta(K, M)
+            sums[K] = d if sums[K] is None else sums[K] + d
+            counts[K] += 1
+            progress = True
+        if not progress:
+            break
+    T = len(game.grid)
+    sii = {K: (sums[K] / counts[K]) if counts[K] else np.zeros(T) for K in targets}
+    ksii = aggregate_ksii(sii, k, p)
+    info = {"method": "mc", "evaluations": bank.spent,
+            "samples": {mask_size(K): 0 for K in targets}}
+    for K in targets:
+        info["samples"][mask_size(K)] += counts[K]
+    return ksii, info
+
+
+def oracle_permutation(game, k, budget, seed):
+    p = game.p
+    if budget >= (1 << p):
+        return _oracle_fallback(game, k)
+    bank = _OracleValues(game, budget)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 211)))
+    targets = _oracle_targets(p, k)
+    sums = {}
+    counts = {K: 0 for K in targets}
+    n_perms = 0
+    while True:
+        perm = rng.permutation(p)
+        needed = set()
+        samples = []
+        prefix = 0
+        prefixes = [0]
+        for j in perm:
+            prefix |= 1 << int(j)
+            prefixes.append(prefix)
+        for order in range(1, k + 1):
+            for pos in range(p - order + 1):
+                K = 0
+                for j in perm[pos:pos + order]:
+                    K |= 1 << int(j)
+                M = prefixes[pos]
+                samples.append((K, M))
+                for sub in _oracle_subsets_of(K):
+                    needed.add(M | sub)
+        if not bank.affordable(needed):
+            break
+        for K, M in samples:
+            d = bank.delta(K, M)
+            sums[K] = d if K not in sums else sums[K] + d
+            counts[K] += 1
+        n_perms += 1
+        if bank.spent >= budget:
+            break
+    T = len(game.grid)
+    sii = {K: (sums[K] / counts[K]) if counts[K] else np.zeros(T) for K in targets}
+    ksii = aggregate_ksii(sii, k, p)
+    info = {"method": "permutation", "evaluations": bank.spent,
+            "permutations": n_perms}
+    return ksii, info
+
+
+def oracle_regression(game, k, budget, seed):
+    p = game.p
+    if budget >= (1 << p):
+        return _oracle_fallback(game, k)
+    basis = list(coalition_iter(p, k))
+    n_basis = len(basis)
+    bank = _OracleValues(game, budget)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
+    n_rows = min(budget - 2, (1 << p) - 2)
+    masks, weights = _sample_coalitions(p, n_rows, rng)
+    values = np.vstack(bank.get(masks))
+
+    A = np.empty((len(masks), n_basis))
+    for col, S in enumerate(basis):
+        A[:, col] = [1.0 if (m & S) == S else 0.0 for m in masks]
+    sqrtw = np.sqrt(weights)
+    Aw = A * sqrtw[:, None]
+    C = np.zeros((2, n_basis))
+    C[0, 0] = 1.0
+    C[1, :] = 1.0
+    d = np.vstack([bank.cache[0], bank.cache[game.full_mask]])
+
+    sv = np.linalg.svd(np.vstack([Aw, C]), compute_uv=False)
+    rank = int(np.sum(sv > sv[0] * (len(masks) + 2) * np.finfo(float).eps))
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    full_design = len(masks) == (1 << p) - 2
+    underdetermined = rank < n_basis
+    unstable = underdetermined or cond > _COND_LIMIT or (
+        not full_design and len(masks) < 2 * n_basis
+    )
+    H = Aw.T @ Aw
+    ridge = RIDGE if underdetermined else 0.0
+    if ridge:
+        H = H + ridge * np.eye(n_basis)
+    rhs = Aw.T @ (values * sqrtw[:, None])
+    kkt = np.block([[2.0 * H, C.T], [C, np.zeros((2, 2))]])
+    rhs_full = np.vstack([2.0 * rhs, d])
+    try:
+        sol = np.linalg.solve(kkt, rhs_full)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs_full, rcond=None)[0]
+    coef = sol[:n_basis]
+    ksii = {S: coef[col] for col, S in enumerate(basis) if S != 0}
+    info = {
+        "method": "regression",
+        "evaluations": bank.spent,
+        "n_basis": n_basis,
+        "design_rows": len(masks),
+        "design_rank": rank,
+        "condition": cond,
+        "unstable": bool(unstable),
+        "ridge": ridge,
+    }
+    return ksii, info
+
+
+ESTIMATORS = {
+    "mc": (approx_montecarlo, oracle_montecarlo),
+    "permutation": (approx_permutation, oracle_permutation),
+    "regression": (approx_regression, oracle_regression),
+}
+
+
+def _run(fn, game, k, budget, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fn(game, k, budget, seed)
+
+
+def assert_same_estimate(got, want):
+    (est, info), (est_want, info_want) = got, want
+    assert info == info_want
+    assert est.keys() == est_want.keys()
+    for mask, curve in est_want.items():
+        assert np.array_equal(est[mask], curve), mask
+
+
+def elementwise_game(p, seed, n_ref, n_points):
+    """Random game whose prediction is computed row by row with elementwise
+    operations only, so a row's prediction cannot depend on its batch."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=p)
+    pair = rng.normal(scale=0.5, size=(p, p))
+    bg = rng.normal(size=(n_ref, p))
+    x = rng.normal(size=p)
+
+    def predict(X, t):
+        lin = np.zeros(X.shape[0])
+        for i in range(p):
+            lin = lin + w[i] * X[:, i]
+            for j in range(i + 1, p):
+                lin = lin + pair[i, j] * X[:, i] * X[:, j]
+        return np.exp(0.3 * lin)[:, None] * np.log1p(t)[None, :]
+
+    return SurvivalGame(predict, x, MarginalEmpiricalImputer(bg),
+                        build_time_grid(70, n_points))
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("p", [8, 10])
+    @pytest.mark.parametrize("method", sorted(ESTIMATORS))
+    def test_benchmark_game_bit_identical(self, p, method):
+        game, _ = benchmark_game(seed=7, p=p)
+        new, old = ESTIMATORS[method]
+        for budget in (8, 16, 64, 128, 512):
+            for seed in (0, 1):
+                assert_same_estimate(_run(new, game, 2, budget, seed),
+                                     _run(old, game, 2, budget, seed))
+
+    @settings(max_examples=40)
+    @given(p=st.integers(2, 6), data=st.data())
+    def test_small_games(self, p, data):
+        k = data.draw(st.integers(1, p), label="order")
+        budget = data.draw(st.integers(2, (1 << p) - 1), label="budget")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        game = elementwise_game(p, seed, n_ref=data.draw(st.integers(1, 6)),
+                                n_points=data.draw(st.integers(1, 4)))
+        full = game.value(game.full_mask)
+        for method, (new, old) in sorted(ESTIMATORS.items()):
+            if method == "regression" and budget < 2 * (k + 1):
+                with pytest.raises(ValueError, match="regression needs"):
+                    estimate(game, k, method, budget, seed)
+                continue
+            got = _run(new, game, k, budget, seed)
+            assert_same_estimate(got, _run(old, game, k, budget, seed))
+            # determinism for a given seed, and the budget is never exceeded
+            assert_same_estimate(_run(new, game, k, budget, seed), got)
+            assert got[1]["evaluations"] <= budget
+            if method == "regression":
+                # efficiency is an exact constraint of the fit at any budget
+                scale = max(1.0, float(np.max(np.abs(full))))
+                assert np.allclose(sum(got[0].values()), full, rtol=0,
+                                   atol=1e-8 * scale)
+
+    def test_one_value_call_per_estimate(self):
+        game, _ = benchmark_game(seed=7, p=10, n_background=20, n_timepoints=3)
+        calls = []
+        fetch = game.values_for_masks
+        game.values_for_masks = lambda masks: calls.append(len(masks)) or fetch(masks)
+        for method, (new, _) in sorted(ESTIMATORS.items()):
+            calls.clear()
+            _, info = _run(new, game, 2, 128, 0)
+            assert calls == [info["evaluations"]], method

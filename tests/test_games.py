@@ -150,6 +150,56 @@ class TestConditionalGame:
         assert np.array_equal(g1.value(0b101), g2.value(0b101))
 
 
+class TestBatchedRows:
+    MASKS = [5, 0, 15, 5, 8, 3, 12, 0b0110]
+
+    def _imputers(self):
+        rng = np.random.default_rng(6)
+        return [
+            MarginalEmpiricalImputer(rng.standard_normal((7, 4))),
+            ConditionalGaussianImputer(np.zeros(4), pairwise_covariance(4, 0.4),
+                                       n_samples=7, seed=2),
+        ]
+
+    def test_batch_equals_single_mask_calls(self):
+        x = np.array([0.3, -1.1, 2.0, 0.7])
+        for imputer in self._imputers():
+            batch = imputer.rows_for(x, np.array(self.MASKS))
+            single = np.concatenate([imputer.rows_for(x, m) for m in self.MASKS])
+            assert batch.shape == (len(self.MASKS) * 7, 4)
+            assert (batch == single).all()
+
+    def test_marginal_rows_pin_coalition_features(self):
+        x = np.array([0.3, -1.1, 2.0, 0.7])
+        imputer = self._imputers()[0]
+        for mask in range(16):
+            expected = imputer.background.copy()
+            for j in range(4):
+                if mask >> j & 1:
+                    expected[:, j] = x[j]
+            assert (imputer.rows_for(x, mask) == expected).all()
+
+    def test_failed_prediction_names_count_and_first_labels(self):
+        rng = np.random.default_rng(1)
+        bg = rng.standard_normal((3, 9))
+        model = build_scenario(1)
+        inner = model.prediction_function(PredictionTarget.LOG_HAZARD)
+
+        def predict(X, t):
+            if X.shape[0] > bg.shape[0]:
+                raise FloatingPointError("overflow in batch")
+            return inner(X[:, :3], t)
+
+        game = SurvivalGame(predict, rng.standard_normal(9),
+                            MarginalEmpiricalImputer(bg), build_time_grid(70, 3))
+        with pytest.raises(RuntimeError) as info:
+            game.values_for_masks(range(1, 501))
+        msg = str(info.value)
+        assert msg == ("prediction failed for 500 coalitions, starting ['1', '2', "
+                       "'1+2', '3', '1+3', '2+3', '1+2+3', '4']: overflow in batch")
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 class TestValueTable:
     def test_complete_table_shape_and_bounds(self):
         game, model, bg, grid = _marginal_game()

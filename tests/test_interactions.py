@@ -6,6 +6,7 @@ import pytest
 from survix.core import PredictionTarget, build_time_grid
 from survix.games import MarginalEmpiricalImputer, SurvivalGame, ValueTable
 from survix.interactions import (
+    ApproximatorConfig,
     aggregate_ksii,
     discrete_derivative,
     exact_ksii,
@@ -279,3 +280,28 @@ class TestExplain:
         assert expl.order == 2
         assert expl.info["method"] == "exact"
         assert set(len(k) for k in expl.values) == {1, 2}
+
+    def test_one_feature_budget_covers_enumeration_for_every_method(self):
+        # at p = 1 a budget of 2 enumerates both coalitions, so every method
+        # is exact; regression's minimum applies only when it samples
+        bg = np.linspace(-1.0, 1.0, 5)[:, None]
+        grid = build_time_grid(70, 4)
+        exact = explain(lambda X, t: X * np.log1p(t)[None, :], np.array([0.8]),
+                        MarginalEmpiricalImputer(bg), grid, 1,
+                        PredictionTarget.LOG_HAZARD)
+        for method in ("mc", "permutation", "regression"):
+            expl = explain(lambda X, t: X * np.log1p(t)[None, :], np.array([0.8]),
+                           MarginalEmpiricalImputer(bg), grid, 1,
+                           PredictionTarget.LOG_HAZARD,
+                           method=ApproximatorConfig(method, 2))
+            assert expl.info["method"] == "exact_fallback"
+            assert np.array_equal(expl.values[(0,)], exact.values[(0,)])
+
+    def test_sampled_regression_below_minimum_budget_rejected(self):
+        model = build_scenario(3)
+        bg = sample_features(FeatureSampler.standard(3, seed=5), 20)
+        with pytest.raises(ValueError, match="regression needs budget"):
+            explain(model.prediction_function(PredictionTarget.HAZARD), X_STAR,
+                    MarginalEmpiricalImputer(bg), build_time_grid(70, 3), 2,
+                    PredictionTarget.HAZARD,
+                    method=ApproximatorConfig("regression", 5))
