@@ -29,18 +29,20 @@ RIDGE = 1e-8
 _COND_LIMIT = 1e8
 
 
+def estimators():
+    """Estimator name -> function: the one list of estimators. Built per
+    call, so a wrapped module attribute is the function called."""
+    return {"mc": approx_montecarlo, "permutation": approx_permutation,
+            "regression": approx_regression}
+
+
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     """Run the estimator named ``method``; returns (ksii, info).
 
     A regression that samples, with a budget below full enumeration, needs a
     budget of at least 2*(k+1); at full enumeration every method is exact.
     """
-    # built per call, so a wrapped module attribute is the function called
-    runner = {
-        "mc": approx_montecarlo,
-        "permutation": approx_permutation,
-        "regression": approx_regression,
-    }[method]
+    runner = estimators()[method]
     if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
         raise ValueError("regression needs budget >= 2*(order+1)")
     return runner(game, k, budget, seed)

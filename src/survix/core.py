@@ -17,10 +17,9 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-# Full enumeration allocates O(2^p) per timepoint; beyond this the exact
-# path is refused and sampling-based estimators must be used instead.
+# Most features ``coalition_iter`` accepts, so the exact path and every
+# estimator; the exact path's O(2^p) memory guard refuses far smaller p.
 MAX_EXACT_FEATURES = 30
-MAX_FEATURES = 64
 
 Indices = Tuple[int, ...]
 

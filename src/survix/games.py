@@ -6,17 +6,21 @@ grid point is the mean prediction with coalition features pinned to the
 instance and the rest imputed, minus the unconditional mean prediction, so
 the empty coalition is worth exactly zero.
 
-``SurvivalGame.values_for_masks`` takes every coalition a caller needs at
-once: per chunk of at most ``_BATCH_FLOAT_BUDGET`` floats it makes one
-``rows_for(x, masks)`` call and one prediction. A value is the mean over its
-own rows only, whatever else shares its chunk.
+``coalition_values`` is the one value engine, over a block of instances (a
+``SurvivalGame`` is its one-instance case). Each chunk of (instance,
+coalition) pairs is one ``rows_for`` call per instance and one prediction,
+freed before the next. Rows come reference-row-major (row r of every pair,
+then r + 1), so a coalition mean sums the leading axis of the chunk's
+predictions: the reference rows in sequence, whatever shares the chunk. At
+T = 1 that axis is contiguous for a one-pair chunk, which numpy sums
+pairwise, so there each pair sums its own row, pairwise, in every chunk.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +33,11 @@ from .core import (
 
 PredictFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# transient row batches are capped at roughly this many floats
-_BATCH_FLOAT_BUDGET = 24_000_000
+# a chunk holds as many whole instances as fit in 2 MB of predictions, at
+# least one; only an instance predicting over 32 MB is split, as splitting a
+# smaller one made glibc trim and refault the heap on every chunk
+_CHUNK_FLOATS = 250_000
+_SPLIT_FLOATS = 4_000_000
 _TABLE_BYTE_BUDGET = 2 << 30
 # a failed prediction names at most this many of its chunk's coalitions
 _LABELS_IN_ERROR = 8
@@ -81,15 +88,15 @@ class MarginalEmpiricalImputer:
         return self.background
 
     def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
-        """(len(masks) * n_reference, p) rows, mask by mask: the background
-        with the coalition's features pinned to ``x``."""
+        """(n_reference * len(masks), p) rows, reference-row-major: row
+        ``r * len(masks) + j`` is background row r with mask j's features
+        pinned to ``x``."""
         masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        bits = ((masks[:, None] >> np.arange(self.p)) & 1).astype(bool)
-        rows = np.empty((masks.size,) + self.background.shape)
-        rows[:] = self.background
-        # (mask, feature, row) view: each pinned feature is one column write
-        rows.transpose(0, 2, 1)[bits] = x[np.nonzero(bits)[1]][:, None]
-        return rows.reshape(-1, self.p)
+        # one gather per reference row: column j * p + f reads x[f] (source
+        # column p + f) where mask j pins feature f, else the background's f
+        source = np.hstack([self.background, np.broadcast_to(x, self.background.shape)])
+        cols = np.arange(self.p) + self.p * ((masks[:, None] >> np.arange(self.p)) & 1)
+        return source.take(cols.ravel(), axis=1).reshape(-1, self.p)
 
 
 class ConditionalGaussianImputer:
@@ -130,11 +137,12 @@ class ConditionalGaussianImputer:
         return self._reference
 
     def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
-        """(len(masks) * n_samples, p) rows, mask by mask; each coalition
-        has its own Gaussian conditional, so each block is built alone."""
+        """(n_samples * len(masks), p) rows in the marginal imputer's
+        reference-row-major order; each coalition has its own Gaussian
+        conditional, so each mask's rows are built alone."""
         masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        rows = np.empty((masks.size, self.n_samples, self.p))
-        for block, mask in zip(rows, masks.tolist()):
+        rows = np.empty((self.n_samples, masks.size, self.p))
+        for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
             cond = list(indices_from_mask(mask))
             if len(cond) == 0:
                 block[:] = self._reference
@@ -156,23 +164,73 @@ class ConditionalGaussianImputer:
         return rows.reshape(-1, self.p)
 
 
+def reference_mean(predict: PredictFn, imputer, grid: TimeGrid) -> np.ndarray:
+    """Mean prediction over the reference rows (the order-zero term)."""
+    return np.asarray(predict(imputer.reference_rows(), grid.points)).mean(axis=0)
+
+
+def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
+                     masks, baseline: np.ndarray) -> np.ndarray:
+    """(len(X), len(masks), T) value curves of each coalition for each row of
+    X; the empty and full coalitions need no imputation."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    N, T, n_ref = X.shape[0], len(grid), imputer.n_reference
+    out = np.zeros((N, masks.size, T))
+    full = masks == (1 << imputer.p) - 1
+    if full.any():
+        # row by row, so F(x) is the same in any block: a batched predict may
+        # round a row differently (a BLAS product picks its kernel by shape)
+        for i, x in enumerate(X):
+            out[i, full] = np.asarray(predict(x[None, :], grid.points))[0] - baseline
+    pending = np.flatnonzero((masks != 0) & ~full)
+    # a chunk is n_inst whole instances, or n_masks coalitions of one instance
+    per_mask = n_ref * max(T, imputer.p)
+    n_inst = max(1, _CHUNK_FLOATS // max(per_mask * pending.size, 1))
+    n_masks = max(pending.size, 1)
+    if per_mask * pending.size > _SPLIT_FLOATS:
+        n_inst, n_masks = 1, max(1, _CHUNK_FLOATS // per_mask)
+    for lo in range(0, N, n_inst):
+        for m0 in range(0, pending.size, n_masks):
+            sub = pending[m0:m0 + n_masks]
+            # each instance's rows side by side: (reference row, instance, mask)
+            blocks = [imputer.rows_for(x, masks[sub]).reshape(n_ref, -1)
+                      for x in X[lo:lo + n_inst]]
+            rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            try:
+                preds = np.asarray(predict(rows.reshape(-1, imputer.p), grid.points))
+            except Exception as exc:
+                labels = [coalition_label(indices_from_mask(int(m)))
+                          for m in masks[sub[:_LABELS_IN_ERROR]]]
+                raise RuntimeError(f"prediction failed for {len(blocks) * sub.size} "
+                                   f"coalitions, starting {labels}: {exc}") from exc
+            del rows, blocks
+            preds = preds.reshape(n_ref, -1)
+            # numpy adds along a contiguous axis pairwise, along any other in order
+            sums = np.ascontiguousarray(preds.T).sum(axis=1) if T == 1 else preds.sum(axis=0)
+            del preds
+            sums /= n_ref
+            out[lo:lo + n_inst, sub] = sums.reshape(-1, sub.size, T) - baseline
+    return out
+
+
 @dataclass
 class SurvivalGame:
-    """Centered coalition game for one instance on one prediction scale."""
+    """Centered coalition game for one instance on one prediction scale.
+    Games sharing a reference distribution may pass its ``reference_mean``;
+    otherwise it is predicted on first use."""
 
     predict: PredictFn
     x: np.ndarray
     imputer: MarginalEmpiricalImputer | ConditionalGaussianImputer
     grid: TimeGrid
+    reference_mean: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
         if x.shape != (self.imputer.p,):
             raise ValueError("instance length must match the imputer")
         x.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        self._baseline = None
-        self._full = None
+        self.x = x
 
     @property
     def p(self) -> int:
@@ -184,102 +242,68 @@ class SurvivalGame:
 
     def baseline(self) -> np.ndarray:
         """Mean prediction over the reference rows (the order-zero term)."""
-        if self._baseline is None:
-            preds = self.predict(self.imputer.reference_rows(), self.grid.points)
-            self._baseline = np.asarray(preds).mean(axis=0)
-        return self._baseline
-
-    def full_prediction(self) -> np.ndarray:
-        if self._full is None:
-            self._full = self.predict(self.x[None, :], self.grid.points)[0]
-        return self._full
+        if self.reference_mean is None:
+            self.reference_mean = reference_mean(self.predict, self.imputer, self.grid)
+        return self.reference_mean
 
     def value(self, mask: int) -> np.ndarray:
         """Game value curve for one coalition over the grid."""
         return self.values_for_masks([mask])[0]
 
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
-        """(n_masks, T) value curves in the order of ``masks``; the empty
-        and full coalitions need no imputation."""
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        T = len(self.grid)
-        out = np.empty((masks.size, T))
-        base = self.baseline()
-        out[masks == 0] = 0.0
-        full = masks == self.full_mask
-        if full.any():
-            out[full] = self.full_prediction() - base
-        pending = np.flatnonzero((masks != 0) & ~full)
-        n_ref = self.imputer.n_reference
-        chunk = max(1, _BATCH_FLOAT_BUDGET // max(n_ref * max(T, self.p), 1))
-        for lo in range(0, pending.size, chunk):
-            part = pending[lo:lo + chunk]
-            rows = self.imputer.rows_for(self.x, masks[part])
-            try:
-                preds = np.asarray(self.predict(rows, self.grid.points))
-            except Exception as exc:
-                labels = [coalition_label(indices_from_mask(int(m)))
-                          for m in masks[part[:_LABELS_IN_ERROR]]]
-                raise RuntimeError(f"prediction failed for {part.size} "
-                                   f"coalitions, starting {labels}: {exc}") from exc
-            out[part] = preds.reshape(part.size, n_ref, T).mean(axis=1) - base
-        return out
+        """(n_masks, T) value curves in the order of ``masks``."""
+        return coalition_values(self.predict, self.x[None, :], self.imputer,
+                                self.grid, masks, self.baseline())[0]
 
 
 class ValueTable:
-    """Coalition values on a grid; complete tables cover all 2^p masks."""
+    """Values of all 2^p coalitions on a grid: a (2^p, T) matrix whose row
+    index is the coalition mask."""
 
-    def __init__(self, p: int, grid: TimeGrid, masks: Sequence[int],
-                 values: np.ndarray):
+    def __init__(self, p: int, grid: TimeGrid, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (len(masks), len(grid)):
-            raise ValueError("values shape must be (n_masks, n_timepoints)")
+        if values.shape != (1 << p, len(grid)):
+            raise ValueError(f"values must be (2^p, T) = {(1 << p, len(grid))}")
         values.flags.writeable = False
         self.p = p
         self.grid = grid
-        self.masks = tuple(int(m) for m in masks)
         self.values = values
-        self._index: Dict[int, int] = {m: i for i, m in enumerate(self.masks)}
-
-    @property
-    def complete(self) -> bool:
-        return len(self.masks) == 1 << self.p
 
     def lookup(self, mask: int) -> np.ndarray:
-        return self.values[self._index[mask]]
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._index
+        return self.values[mask]
 
     def dump_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "coalition", "value"])
             for ti, t in enumerate(self.grid.points):
-                for mask in self.masks:
+                for mask in range(1 << self.p):
                     label = coalition_label(indices_from_mask(mask)) if mask else "empty"
                     writer.writerow([repr(float(t)), label,
-                                     repr(float(self.values[self._index[mask], ti]))])
+                                     repr(float(self.values[mask, ti]))])
 
 
-def evaluate_all_coalitions(game: SurvivalGame,
-                            byte_budget: int = _TABLE_BYTE_BUDGET) -> ValueTable:
-    """Complete value table over all 2^p coalitions.
-
-    Every (coalition, reference-row) prediction is evaluated exactly once per
-    timepoint; the result is deterministic given the imputer seed.
-    """
-    p = game.p
+def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
+                         baseline: np.ndarray,
+                         byte_budget: int = _TABLE_BYTE_BUDGET) -> np.ndarray:
+    """(len(X), 2^p, T) values of every coalition for each row of X; each
+    (instance, coalition, reference row) is predicted exactly once."""
+    p = imputer.p
     if p > MAX_EXACT_FEATURES:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_FEATURES} features")
-    n_masks = 1 << p
-    T = len(game.grid)
-    estimated = n_masks * T * 8 + game.imputer.n_reference * game.p * 8
+    estimated = X.shape[0] * (1 << p) * len(grid) * 8 + imputer.n_reference * p * 8
     if estimated > byte_budget:
         raise MemoryError(
             f"value table would need about {estimated / 2**20:.0f} MiB "
             f"(budget {byte_budget / 2**20:.0f} MiB)"
         )
-    masks = list(range(n_masks))
-    values = game.values_for_masks(masks)
-    return ValueTable(p=p, grid=game.grid, masks=masks, values=values)
+    return coalition_values(predict, X, imputer, grid, np.arange(1 << p), baseline)
+
+
+def evaluate_all_coalitions(game: SurvivalGame,
+                            byte_budget: int = _TABLE_BYTE_BUDGET) -> ValueTable:
+    """Complete value table of one game: the one-row case of
+    ``all_coalition_values``."""
+    values = all_coalition_values(game.predict, game.x[None, :], game.imputer,
+                                  game.grid, game.baseline(), byte_budget)
+    return ValueTable(p=game.p, grid=game.grid, values=values[0])

@@ -6,6 +6,10 @@ fixed maximum order. The aggregation redistributes higher-order mass with
 Bernoulli-number weights, which keeps the top order equal to the raw index,
 preserves efficiency at every timepoint, reduces to Shapley values at order
 one, and reproduces the Moebius transform at full order.
+
+``explain_instances`` fills one (N, 2^p, T) value tensor per block of rows,
+runs one Moebius pass over its coalition axis, then one contraction per
+target coalition, over all N, with cached superset masks and weights.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -27,20 +31,13 @@ from .core import (
     indices_from_mask,
     mask_size,
 )
-from .games import SurvivalGame, ValueTable, evaluate_all_coalitions
-
-
-def _table_matrix(table: ValueTable) -> np.ndarray:
-    """Complete table as a (2^p, T) matrix indexed by coalition mask."""
-    if not table.complete:
-        raise ValueError("a complete value table is required")
-    n = 1 << table.p
-    if table.masks == tuple(range(n)):
-        return table.values
-    out = np.empty_like(table.values)
-    for mask in range(n):
-        out[mask] = table.lookup(mask)
-    return out
+from .games import (
+    _CHUNK_FLOATS,
+    SurvivalGame,
+    ValueTable,
+    all_coalition_values,
+    reference_mean,
+)
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -68,28 +65,30 @@ class MoebiusCoefficients:
         return self.values[mask]
 
 
+def _zeta_pass(V: np.ndarray, op) -> np.ndarray:
+    """For j = 0..p-1, row(S + j) = op(row(S + j), row(S)) in place over the
+    coalition axis of a (..., 2^p, T) array: np.subtract is Moebius, np.add
+    its inverse."""
+    n, T = V.shape[-2:]
+    bit = 1
+    while bit < n:
+        # (..., high bits, bit j, low bits, T) view of the coalition axis
+        W = V.reshape(V.shape[:-2] + (n // (2 * bit), 2, bit, T))
+        op(W[..., 1, :, :], W[..., 0, :, :], out=W[..., 1, :, :])
+        bit <<= 1
+    return V
+
+
 def moebius_transform(table: ValueTable) -> MoebiusCoefficients:
     """In-place subset-sum Moebius transform, O(p 2^p) per timepoint."""
-    V = _table_matrix(table).copy()
-    n = V.shape[0]
-    idx = np.arange(n)
-    for j in range(table.p):
-        bit = 1 << j
-        has = (idx & bit) != 0
-        V[has] -= V[idx[has] ^ bit]
+    V = _zeta_pass(table.values.copy(), np.subtract)
     V.flags.writeable = False
     return MoebiusCoefficients(p=table.p, grid=table.grid, values=V)
 
 
 def reconstruct_from_moebius(m: MoebiusCoefficients) -> np.ndarray:
     """Inverse (zeta) transform; returns the (2^p, T) value matrix."""
-    V = m.values.copy()
-    idx = np.arange(V.shape[0])
-    for j in range(m.p):
-        bit = 1 << j
-        has = (idx & bit) != 0
-        V[has] += V[idx[has] ^ bit]
-    return V
+    return _zeta_pass(m.values.copy(), np.add)
 
 
 def discrete_derivative(table: ValueTable, K: int, M: int, t: float | None = None):
@@ -130,35 +129,13 @@ def exact_sii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
 
     For a coalition K the index averages discrete derivatives over subsets M
     of the remaining features, weighted by 1 / ((p-|K|+1) * C(p-|K|, |M|)).
-    Accumulation runs in extended precision; the alternating sums otherwise
-    lose enough digits to disturb downstream identity checks.
+    In Moebius form that is the sum of m(T) / (|T| - |K| + 1) over the
+    supersets T of K: the top order of the order-|K| aggregation.
     """
-    p = table.p
-    if not 1 <= k <= p:
-        raise ValueError(f"order must lie in 1..{p}")
-    V = _table_matrix(table).astype(np.longdouble)
-    full = (1 << p) - 1
-    out: Dict[int, np.ndarray] = {}
-    comb_cache = {}
-    for K in coalition_iter(p, k):
-        if K == 0:
-            continue
-        kp = mask_size(K)
-        rest = full ^ K
-        subs = _submasks(rest)
-        sizes = np.array([mask_size(int(m)) for m in subs])
-        if kp not in comb_cache:
-            comb_cache[kp] = np.array(
-                [math.comb(p - kp, s) for s in range(p - kp + 1)],
-                dtype=np.longdouble,
-            )
-        weights = 1.0 / ((p - kp + 1) * comb_cache[kp][sizes])
-        delta = np.zeros((subs.size, V.shape[1]), dtype=np.longdouble)
-        for L in _submasks(K):
-            sign = -1.0 if (kp - mask_size(int(L))) % 2 else 1.0
-            delta += sign * V[subs | int(L)]
-        out[K] = (weights @ delta).astype(float)
-    return out
+    if not 1 <= k <= table.p:
+        raise ValueError(f"order must lie in 1..{table.p}")
+    return {S: curve for j in range(1, k + 1)
+            for S, curve in exact_ksii(table, j).items() if mask_size(S) == j}
 
 
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:
@@ -210,27 +187,42 @@ def _moebius_redistribution(s: int, r: int, k: int) -> float:
     return float(acc)
 
 
+@lru_cache(maxsize=16)
+def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
+    """(S, superset masks in descending order, their non-zero order-k
+    weights) for every target coalition S of size 1..k, in canonical order."""
+    descending = np.arange(1 << p, dtype=np.int64)[::-1]
+    out = []
+    for S in itertools.islice(coalition_iter(p, k), 1, None):  # skips the empty set
+        supers = descending[(descending & S) == S]
+        coeffs = np.array([_moebius_redistribution(mask_size(S), mask_size(int(m)), k)
+                           for m in supers])
+        kept = (supers[coeffs != 0.0], coeffs[coeffs != 0.0])
+        for a in kept:  # shared by every caller through the cache
+            a.flags.writeable = False
+        out.append((S,) + kept)
+    return tuple(out)
+
+
+def _ksii_block(V: np.ndarray, k: int) -> np.ndarray:
+    """(N, n_targets, T) order-k attribution curves of a (N, 2^p, T) value
+    tensor, targets in ``coalition_iter`` order without the empty set."""
+    p = V.shape[1].bit_length() - 1
+    if not 1 <= k <= p:
+        raise ValueError(f"order must lie in 1..{p}")
+    mo = _zeta_pass(V.copy(), np.subtract)
+    plan = _redistribution(p, k)
+    out = np.empty((V.shape[0], len(plan), V.shape[2]))
+    for i, (_, supers, coeffs) in enumerate(plan):
+        out[:, i] = coeffs @ mo[:, supers]
+    return out
+
+
 def exact_ksii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
     """Fused exact pipeline: Moebius transform, then direct redistribution of
     every coefficient onto its subsets of order <= k."""
-    p = table.p
-    if not 1 <= k <= p:
-        raise ValueError(f"order must lie in 1..{p}")
-    mo = moebius_transform(table).values
-    full = (1 << p) - 1
-    out: Dict[int, np.ndarray] = {}
-    for S in coalition_iter(p, k):
-        if S == 0:
-            continue
-        s = mask_size(S)
-        supers = _submasks(full ^ S)
-        sizes = np.array([mask_size(int(m)) for m in supers])
-        coeffs = np.array([
-            _moebius_redistribution(s, s + extra, k) for extra in sizes
-        ])
-        keep = coeffs != 0.0
-        out[S] = coeffs[keep] @ mo[(supers | S)[keep]]
-    return out
+    curves = _ksii_block(table.values[None], k)[0]
+    return {S: curves[i] for i, (S, _, _) in enumerate(_redistribution(table.p, k))}
 
 
 @dataclass(frozen=True)
@@ -247,70 +239,59 @@ class ApproximatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("mc", "permutation", "regression"):
+        from .approximators import estimators  # local import to avoid a cycle
+        if self.method not in estimators():
             raise ValueError(f"unknown approximation method {self.method!r}")
         if self.budget < 2:
             raise ValueError("budget must be at least 2")
 
 
 def explain(predict, x, imputer, grid: TimeGrid, order: int,
-            target: PredictionTarget, method="exact",
-            precomputed_baseline: np.ndarray | None = None) -> InteractionExplanation:
-    """Decompose one prediction into attribution curves up to ``order``.
-
-    method is either "exact" or an ApproximatorConfig. The exact path
-    enumerates all coalitions; estimators spend a fixed evaluation budget.
-    """
-    from . import approximators  # local import to avoid a cycle
-
-    game = SurvivalGame(predict=predict, x=np.asarray(x, dtype=float),
-                        imputer=imputer, grid=grid)
-    if precomputed_baseline is not None:
-        game._baseline = np.asarray(precomputed_baseline, dtype=float)
-    if method == "exact":
-        table = evaluate_all_coalitions(game)
-        ksii = exact_ksii(table, order)
-        residual = float(np.max(np.abs(
-            sum(ksii.values()) - table.lookup(game.full_mask)
-        )))
-        info = {
-            "method": "exact",
-            "evaluations": 1 << game.p,
-            "efficiency_residual": residual,
-            # the largest coalition magnitude entering the cancellations;
-            # float64 cannot do better than eps times this
-            "table_scale": float(np.max(np.abs(table.values))),
-        }
-    elif isinstance(method, ApproximatorConfig):
-        ksii, info = approximators.estimate(game, order, method.method,
-                                            method.budget, method.seed)
-    else:
-        raise ValueError("method must be 'exact' or an ApproximatorConfig")
-
-    values = {indices_from_mask(mask): curve for mask, curve in ksii.items()}
-    return InteractionExplanation(
-        order=order, target=target, grid=grid, baseline=game.baseline(),
-        values=values, info=info,
-    )
+            target: PredictionTarget, method="exact") -> InteractionExplanation:
+    """Decompose one prediction into attribution curves up to ``order``: the
+    one-row case of ``explain_instances``. method is either "exact", which
+    enumerates all coalitions, or an ApproximatorConfig with a budget."""
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    return explain_instances(predict, X, imputer, grid, order, target, method=method)[0]
 
 
 def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
                       target: PredictionTarget, method="exact"):
-    """Explain every row of X with a shared reference distribution.
+    """Explain every row of X with one shared reference-mean prediction: the
+    exact path one value tensor per block of rows (about a predict chunk's
+    floats), estimators one game per row."""
+    from . import approximators  # local import to avoid a cycle
 
-    The reference-mean prediction is computed once and reused, so the cost
-    per instance is one value-table evaluation.
-    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    baseline = np.asarray(predict(imputer.reference_rows(), grid.points)).mean(axis=0)
-    return [
-        explain(predict, X[i], imputer, grid, order, target, method=method,
-                precomputed_baseline=baseline)
-        for i in range(X.shape[0])
-    ]
+    p = imputer.p
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError("instance length must match the imputer")
+    exact = isinstance(method, str) and method == "exact"
+    if not exact and not isinstance(method, ApproximatorConfig):
+        raise ValueError("method must be 'exact' or an ApproximatorConfig")
+    baseline = reference_mean(predict, imputer, grid)
 
+    def explanation(ksii, info):
+        values = {indices_from_mask(S): curve for S, curve in ksii.items()}
+        return InteractionExplanation(order=order, target=target, grid=grid,
+                                      baseline=baseline, values=values, info=info)
 
-def efficiency_residual(expl: InteractionExplanation,
-                        prediction: np.ndarray) -> np.ndarray:
-    """Prediction minus (baseline + sum of attribution curves) per timepoint."""
-    return np.asarray(prediction, dtype=float) - expl.attribution_sum()
+    if not exact:
+        return [explanation(*approximators.estimate(
+            SurvivalGame(predict, x, imputer, grid, reference_mean=baseline),
+            order, method.method, method.budget, method.seed)) for x in X]
+    out = []
+    block = max(1, _CHUNK_FLOATS // ((1 << p) * len(grid)))
+    for lo in range(0, X.shape[0], block):
+        V = all_coalition_values(predict, X[lo:lo + block], imputer, grid, baseline)
+        curves = _ksii_block(V, order)
+        targets = [S for S, _, _ in _redistribution(p, order)]
+        residuals = np.abs(curves.sum(axis=1) - V[:, -1]).max(axis=1)
+        # the largest coalition magnitude entering the cancellations;
+        # float64 cannot do better than eps times this
+        scales = np.abs(V).max(axis=(1, 2))
+        out += [explanation(dict(zip(targets, c)),
+                            {"method": "exact", "evaluations": 1 << p,
+                             "efficiency_residual": float(r), "table_scale": float(sc)})
+                for c, r, sc in zip(curves, residuals, scales)]
+    return out

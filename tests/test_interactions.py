@@ -25,7 +25,7 @@ def table_from_values(p, values):
     """Single-timepoint table from a mask -> value mapping."""
     grid = build_time_grid(1.0, 1)
     arr = np.array([[float(values[m])] for m in range(1 << p)])
-    return ValueTable(p=p, grid=grid, masks=range(1 << p), values=arr)
+    return ValueTable(p=p, grid=grid, values=arr)
 
 
 def two_player_game():
@@ -45,7 +45,7 @@ def random_table(p, seed, T=3):
     grid = build_time_grid(float(T), T)
     vals = rng.standard_normal((1 << p, T))
     vals[0] = 0.0
-    return ValueTable(p=p, grid=grid, masks=range(1 << p), values=vals)
+    return ValueTable(p=p, grid=grid, values=vals)
 
 
 def moebius_oracle(table):
@@ -101,11 +101,12 @@ class TestMoebius:
         assert np.allclose(recon, table.values, atol=1e-10)
 
     def test_incomplete_table_rejected(self):
+        # a table is dense over all 2^p masks: fewer rows cannot be built
         grid = build_time_grid(1.0, 1)
-        partial = ValueTable(p=2, grid=grid, masks=[0, 1],
-                             values=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"\(2\^p, T\) = \(4, 1\)"):
+            ValueTable(p=2, grid=grid, values=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            moebius_transform(partial)
+            ValueTable(p=2, grid=grid, values=np.zeros((4, 2)))
 
 
 class TestDiscreteDerivative:
@@ -219,8 +220,7 @@ class TestAggregation:
         t1 = random_table(4, seed=19)
         t2 = random_table(4, seed=20)
         a, b = 2.5, -0.75
-        combo = ValueTable(p=4, grid=t1.grid, masks=range(16),
-                           values=a * t1.values + b * t2.values)
+        combo = ValueTable(p=4, grid=t1.grid, values=a * t1.values + b * t2.values)
         k1 = exact_ksii(t1, 2)
         k2 = exact_ksii(t2, 2)
         kc = exact_ksii(combo, 2)
