@@ -7,13 +7,13 @@ instance and the rest imputed, minus the unconditional mean prediction, so
 the empty coalition is worth exactly zero.
 
 ``coalition_values`` is the one value engine, over a block of instances (a
-``SurvivalGame`` is its one-instance case). Each chunk of (instance,
-coalition) pairs is one ``rows_for`` call per instance and one prediction,
-freed before the next. Rows come reference-row-major (row r of every pair,
-then r + 1), so a coalition mean sums the leading axis of the chunk's
-predictions: the reference rows in sequence, whatever shares the chunk. At
-T = 1 that axis is contiguous for a one-pair chunk, which numpy sums
-pairwise, so there each pair sums its own row, pairwise, in every chunk.
+``SurvivalGame`` is its one-instance case); ``all_coalition_values`` yields
+the exact path's value tensors block by block. A predict chunk holds
+coalitions of one instance only, so no row's values depend on its block (a
+BLAS product may round a row by batch shape); it is freed before the next.
+Rows come reference-row-major (row r of every coalition, then r + 1), so a
+coalition mean adds the reference rows in sequence, whatever shares the
+chunk; at T = 1 each coalition sums its own contiguous row, pairwise.
 """
 
 from __future__ import annotations
@@ -33,11 +33,15 @@ from .core import (
 
 PredictFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# a chunk holds as many whole instances as fit in 2 MB of predictions, at
-# least one; only an instance predicting over 32 MB is split, as splitting a
-# smaller one made glibc trim and refault the heap on every chunk
+# a chunk holds all coalitions of one instance; only an instance predicting
+# over 32 MB is split, into chunks of 2 MB, as splitting a smaller one made
+# glibc trim and refault the heap on every chunk
 _CHUNK_FLOATS = 250_000
 _SPLIT_FLOATS = 4_000_000
+# an exact block holds as many whole instances' tables as fit in this many
+# floats, at least one; past a few rows the block size barely moves the time
+# per row, so the budget bounds the block's memory
+_BLOCK_FLOATS = 250_000
 _TABLE_BYTE_BUDGET = 2 << 30
 # a failed prediction names at most this many of its chunk's coalitions
 _LABELS_IN_ERROR = 8
@@ -174,42 +178,33 @@ def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
     """(len(X), len(masks), T) value curves of each coalition for each row of
     X; the empty and full coalitions need no imputation."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    N, T, n_ref = X.shape[0], len(grid), imputer.n_reference
-    out = np.zeros((N, masks.size, T))
+    T, n_ref = len(grid), imputer.n_reference
+    out = np.zeros((X.shape[0], masks.size, T))
     full = masks == (1 << imputer.p) - 1
-    if full.any():
-        # row by row, so F(x) is the same in any block: a batched predict may
-        # round a row differently (a BLAS product picks its kernel by shape)
-        for i, x in enumerate(X):
-            out[i, full] = np.asarray(predict(x[None, :], grid.points))[0] - baseline
     pending = np.flatnonzero((masks != 0) & ~full)
-    # a chunk is n_inst whole instances, or n_masks coalitions of one instance
     per_mask = n_ref * max(T, imputer.p)
-    n_inst = max(1, _CHUNK_FLOATS // max(per_mask * pending.size, 1))
-    n_masks = max(pending.size, 1)
-    if per_mask * pending.size > _SPLIT_FLOATS:
-        n_inst, n_masks = 1, max(1, _CHUNK_FLOATS // per_mask)
-    for lo in range(0, N, n_inst):
-        for m0 in range(0, pending.size, n_masks):
-            sub = pending[m0:m0 + n_masks]
-            # each instance's rows side by side: (reference row, instance, mask)
-            blocks = [imputer.rows_for(x, masks[sub]).reshape(n_ref, -1)
-                      for x in X[lo:lo + n_inst]]
-            rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    split = per_mask * pending.size > _SPLIT_FLOATS
+    step = max(1, _CHUNK_FLOATS // per_mask) if split else max(pending.size, 1)
+    for x, row in zip(X, out):
+        if full.any():
+            row[full] = np.asarray(predict(x[None, :], grid.points))[0] - baseline
+        for lo in range(0, pending.size, step):
+            sub = pending[lo:lo + step]
+            rows = imputer.rows_for(x, masks[sub])
             try:
-                preds = np.asarray(predict(rows.reshape(-1, imputer.p), grid.points))
+                preds = np.asarray(predict(rows, grid.points))
             except Exception as exc:
                 labels = [coalition_label(indices_from_mask(int(m)))
                           for m in masks[sub[:_LABELS_IN_ERROR]]]
-                raise RuntimeError(f"prediction failed for {len(blocks) * sub.size} "
+                raise RuntimeError(f"prediction failed for {sub.size} "
                                    f"coalitions, starting {labels}: {exc}") from exc
-            del rows, blocks
+            del rows
             preds = preds.reshape(n_ref, -1)
             # numpy adds along a contiguous axis pairwise, along any other in order
             sums = np.ascontiguousarray(preds.T).sum(axis=1) if T == 1 else preds.sum(axis=0)
             del preds
             sums /= n_ref
-            out[lo:lo + n_inst, sub] = sums.reshape(-1, sub.size, T) - baseline
+            row[sub] = sums.reshape(sub.size, T) - baseline
     return out
 
 
@@ -284,26 +279,30 @@ class ValueTable:
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
-                         baseline: np.ndarray,
-                         byte_budget: int = _TABLE_BYTE_BUDGET) -> np.ndarray:
-    """(len(X), 2^p, T) values of every coalition for each row of X; each
+                         baseline: np.ndarray, byte_budget: int = _TABLE_BYTE_BUDGET):
+    """Yields (n, 2^p, T) values of every coalition for consecutive blocks of
+    n rows of X (as many as fit in ``_BLOCK_FLOATS``, at least one); each
     (instance, coalition, reference row) is predicted exactly once."""
     p = imputer.p
     if p > MAX_EXACT_FEATURES:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_FEATURES} features")
-    estimated = X.shape[0] * (1 << p) * len(grid) * 8 + imputer.n_reference * p * 8
+    per_row = (1 << p) * len(grid)
+    estimated = per_row * 8 + imputer.n_reference * p * 8
     if estimated > byte_budget:
         raise MemoryError(
             f"value table would need about {estimated / 2**20:.0f} MiB "
             f"(budget {byte_budget / 2**20:.0f} MiB)"
         )
-    return coalition_values(predict, X, imputer, grid, np.arange(1 << p), baseline)
+    block = max(1, _BLOCK_FLOATS // per_row)
+    for lo in range(0, X.shape[0], block):
+        yield coalition_values(predict, X[lo:lo + block], imputer, grid,
+                               np.arange(1 << p), baseline)
 
 
 def evaluate_all_coalitions(game: SurvivalGame,
                             byte_budget: int = _TABLE_BYTE_BUDGET) -> ValueTable:
     """Complete value table of one game: the one-row case of
     ``all_coalition_values``."""
-    values = all_coalition_values(game.predict, game.x[None, :], game.imputer,
-                                  game.grid, game.baseline(), byte_budget)
+    values = next(all_coalition_values(game.predict, game.x[None, :], game.imputer,
+                                       game.grid, game.baseline(), byte_budget))
     return ValueTable(p=game.p, grid=game.grid, values=values[0])

@@ -32,7 +32,6 @@ from .core import (
     mask_size,
 )
 from .games import (
-    _CHUNK_FLOATS,
     SurvivalGame,
     ValueTable,
     all_coalition_values,
@@ -129,13 +128,35 @@ def exact_sii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
 
     For a coalition K the index averages discrete derivatives over subsets M
     of the remaining features, weighted by 1 / ((p-|K|+1) * C(p-|K|, |M|)).
-    In Moebius form that is the sum of m(T) / (|T| - |K| + 1) over the
-    supersets T of K: the top order of the order-|K| aggregation.
+    Accumulation runs in extended precision; the alternating sums otherwise
+    lose enough digits to disturb downstream identity checks.
     """
-    if not 1 <= k <= table.p:
-        raise ValueError(f"order must lie in 1..{table.p}")
-    return {S: curve for j in range(1, k + 1)
-            for S, curve in exact_ksii(table, j).items() if mask_size(S) == j}
+    p = table.p
+    if not 1 <= k <= p:
+        raise ValueError(f"order must lie in 1..{p}")
+    V = table.values.astype(np.longdouble)
+    full = (1 << p) - 1
+    out: Dict[int, np.ndarray] = {}
+    comb_cache = {}
+    for K in coalition_iter(p, k):
+        if K == 0:
+            continue
+        kp = mask_size(K)
+        rest = full ^ K
+        subs = _submasks(rest)
+        sizes = np.array([mask_size(int(m)) for m in subs])
+        if kp not in comb_cache:
+            comb_cache[kp] = np.array(
+                [math.comb(p - kp, s) for s in range(p - kp + 1)],
+                dtype=np.longdouble,
+            )
+        weights = 1.0 / ((p - kp + 1) * comb_cache[kp][sizes])
+        delta = np.zeros((subs.size, V.shape[1]), dtype=np.longdouble)
+        for L in _submasks(K):
+            sign = -1.0 if (kp - mask_size(int(L))) % 2 else 1.0
+            delta += sign * V[subs | int(L)]
+        out[K] = (weights @ delta).astype(float)
+    return out
 
 
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:
@@ -258,8 +279,8 @@ def explain(predict, x, imputer, grid: TimeGrid, order: int,
 def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
                       target: PredictionTarget, method="exact"):
     """Explain every row of X with one shared reference-mean prediction: the
-    exact path one value tensor per block of rows (about a predict chunk's
-    floats), estimators one game per row."""
+    exact path one value tensor per block of rows (the blocks of
+    ``games.all_coalition_values``), estimators one game per row."""
     from . import approximators  # local import to avoid a cycle
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -281,9 +302,7 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
             SurvivalGame(predict, x, imputer, grid, reference_mean=baseline),
             order, method.method, method.budget, method.seed)) for x in X]
     out = []
-    block = max(1, _CHUNK_FLOATS // ((1 << p) * len(grid)))
-    for lo in range(0, X.shape[0], block):
-        V = all_coalition_values(predict, X[lo:lo + block], imputer, grid, baseline)
+    for V in all_coalition_values(predict, X, imputer, grid, baseline):
         curves = _ksii_block(V, order)
         targets = [S for S, _, _ in _redistribution(p, order)]
         residuals = np.abs(curves.sum(axis=1) - V[:, -1]).max(axis=1)

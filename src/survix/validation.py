@@ -8,29 +8,30 @@ implementation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import PredictionTarget, build_time_grid
+from .core import PredictionTarget, TimeGrid, build_time_grid
 from .games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
     SurvivalGame,
-    ValueTable,
     evaluate_all_coalitions,
 )
 from .interactions import (
+    ApproximatorConfig,
+    aggregate_ksii,
     exact_ksii,
+    exact_sii,
     explain,
     moebius_transform,
     reconstruct_from_moebius,
 )
-from .metrics import classify_time_dependence
-from .models import GroundTruthModel, RiskScoreSpec
+from .metrics import approximation_error, classify_time_dependence
+from .models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from .simulate import (
     LAMBDA,
     T_MAX,
@@ -247,7 +248,9 @@ def suite_thm5(seed: int = 7, n_repeats: int = 5,
 # suite: algebraic identities on random games
 # ---------------------------------------------------------------------------
 
-def _random_table(p: int, T: int, rng) -> ValueTable:
+def _random_table(p: int, T: int, rng) -> "ValueTable":
+    from .games import ValueTable
+
     grid = build_time_grid(float(T), T)
     values = rng.standard_normal((1 << p, T))
     values[0] = 0.0
@@ -255,6 +258,8 @@ def _random_table(p: int, T: int, rng) -> ValueTable:
 
 
 def _permutation_shapley(table, p: int) -> Dict[int, np.ndarray]:
+    import itertools
+
     out = {1 << j: np.zeros(len(table.grid)) for j in range(p)}
     perms = list(itertools.permutations(range(p)))
     for perm in perms:
