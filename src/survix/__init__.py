@@ -18,7 +18,6 @@ from .games import (
 )
 from .interactions import (
     ApproximatorConfig,
-    MoebiusCoefficients,
     aggregate_ksii,
     discrete_derivative,
     exact_sii,

@@ -279,7 +279,7 @@ class ValueTable:
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
-                         baseline: np.ndarray, byte_budget: int = _TABLE_BYTE_BUDGET):
+                         baseline: np.ndarray):
     """Yields (n, 2^p, T) values of every coalition for consecutive blocks of
     n rows of X (as many as fit in ``_BLOCK_FLOATS``, at least one); each
     (instance, coalition, reference row) is predicted exactly once."""
@@ -288,10 +288,10 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_FEATURES} features")
     per_row = (1 << p) * len(grid)
     estimated = per_row * 8 + imputer.n_reference * p * 8
-    if estimated > byte_budget:
+    if estimated > _TABLE_BYTE_BUDGET:
         raise MemoryError(
             f"value table would need about {estimated / 2**20:.0f} MiB "
-            f"(budget {byte_budget / 2**20:.0f} MiB)"
+            f"(budget {_TABLE_BYTE_BUDGET / 2**20:.0f} MiB)"
         )
     block = max(1, _BLOCK_FLOATS // per_row)
     for lo in range(0, X.shape[0], block):
@@ -299,10 +299,9 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
                                np.arange(1 << p), baseline)
 
 
-def evaluate_all_coalitions(game: SurvivalGame,
-                            byte_budget: int = _TABLE_BYTE_BUDGET) -> ValueTable:
+def evaluate_all_coalitions(game: SurvivalGame) -> ValueTable:
     """Complete value table of one game: the one-row case of
     ``all_coalition_values``."""
     values = next(all_coalition_values(game.predict, game.x[None, :], game.imputer,
-                                       game.grid, game.baseline(), byte_budget))
+                                       game.grid, game.baseline()))
     return ValueTable(p=game.p, grid=game.grid, values=values[0])

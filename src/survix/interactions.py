@@ -9,7 +9,10 @@ one, and reproduces the Moebius transform at full order.
 
 ``explain_instances`` fills one (N, 2^p, T) value tensor per block of rows,
 runs one Moebius pass over its coalition axis, then one contraction per
-target coalition, over all N, with cached superset masks and weights.
+target coalition, over all N. That redistribution of Moebius coefficients and
+the estimators' aggregation of sampled indices take their superset plans from
+``_superset_plan``: a weight depends only on (|S|, |R|, k), so each fills one
+(k+1, p+1) table, indexed by superset popcount, and caches its plan per (p, k).
 """
 
 from __future__ import annotations
@@ -51,19 +54,6 @@ def _submasks(mask: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class MoebiusCoefficients:
-    """Pure per-coalition effects of a game: the unique coefficients whose
-    subset sums reproduce every coalition value."""
-
-    p: int
-    grid: TimeGrid
-    values: np.ndarray  # (2^p, T), indexed by mask
-
-    def lookup(self, mask: int) -> np.ndarray:
-        return self.values[mask]
-
-
 def _zeta_pass(V: np.ndarray, op) -> np.ndarray:
     """For j = 0..p-1, row(S + j) = op(row(S + j), row(S)) in place over the
     coalition axis of a (..., 2^p, T) array: np.subtract is Moebius, np.add
@@ -78,16 +68,18 @@ def _zeta_pass(V: np.ndarray, op) -> np.ndarray:
     return V
 
 
-def moebius_transform(table: ValueTable) -> MoebiusCoefficients:
-    """In-place subset-sum Moebius transform, O(p 2^p) per timepoint."""
+def moebius_transform(table: ValueTable) -> np.ndarray:
+    """Read-only (2^p, T) Moebius coefficients of a table, indexed by mask:
+    the pure per-coalition effects whose subset sums reproduce every
+    coalition value. In-place subset-sum pass, O(p 2^p) per timepoint."""
     V = _zeta_pass(table.values.copy(), np.subtract)
     V.flags.writeable = False
-    return MoebiusCoefficients(p=table.p, grid=table.grid, values=V)
+    return V
 
 
-def reconstruct_from_moebius(m: MoebiusCoefficients) -> np.ndarray:
+def reconstruct_from_moebius(mo: np.ndarray) -> np.ndarray:
     """Inverse (zeta) transform; returns the (2^p, T) value matrix."""
-    return _zeta_pass(m.values.copy(), np.add)
+    return _zeta_pass(mo.copy(), np.add)
 
 
 def discrete_derivative(table: ValueTable, K: int, M: int, t: float | None = None):
@@ -159,6 +151,39 @@ def exact_sii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
     return out
 
 
+def _superset_plan(candidates: np.ndarray, weights: np.ndarray):
+    """(S, supersets of S among ``candidates`` in their order, their non-zero
+    weights) for every target coalition S of size 1..k, in ``coalition_iter``
+    order. ``weights`` is the (k+1, p+1) table of the weight a superset of
+    size r passes to a target of size s, indexed [s, r]."""
+    k, p = weights.shape[0] - 1, weights.shape[1] - 1
+    sizes = sum((candidates >> j) & 1 for j in range(p))
+    out = []
+    for S in itertools.islice(coalition_iter(p, k), 1, None):  # skips the empty set
+        hit = (candidates & S) == S
+        supers, coeffs = candidates[hit], weights[mask_size(S), sizes[hit]]
+        kept = (supers[coeffs != 0.0], coeffs[coeffs != 0.0])
+        for a in kept:  # shared by every caller through the caches
+            a.flags.writeable = False
+        out.append((S,) + kept)
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _aggregation_plan(p: int, k: int):
+    """Row of each coalition of size 1..k (ascending masks), then, target by
+    target in row order, the rows of its supersets with their Bernoulli
+    weights B_{r-s}, flat, and where each target's run starts."""
+    bern = _bernoulli_fractions(k)
+    weights = np.array([[float(bern[r - s]) if s <= r <= k else 0.0 for r in range(p + 1)]
+                        for s in range(k + 1)])
+    masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]  # no empty set
+    _, supers, coeffs = zip(*sorted(_superset_plan(masks, weights), key=lambda e: e[0]))
+    return ({S: i for i, S in enumerate(masks.tolist())},
+            np.searchsorted(masks, np.concatenate(supers)), np.concatenate(coeffs),
+            np.cumsum([0] + [c.size for c in coeffs[:-1]]))
+
+
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:
     """Aggregate raw interaction indices of orders 1..k into an
     efficiency-preserving decomposition of maximum order k.
@@ -168,31 +193,21 @@ def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.n
     Bernoulli recurrence makes all higher-order mass cancel exactly at
     k = p, recovering the Moebius transform.
     """
-    bern = [float(b) for b in _bernoulli_fractions(k)]
-    inputs = {S: np.asarray(v, dtype=np.longdouble) for S, v in sii.items()}
-    out: Dict[int, np.ndarray] = {}
-    for S, base in inputs.items():
-        s = mask_size(S)
-        if s > k:
-            raise ValueError("input contains orders above k")
-        acc = base.copy()
-        comp = [j for j in range(p) if not (S >> j) & 1]
-        for extra_size in range(1, k - s + 1):
-            coeff = bern[extra_size]
-            if coeff == 0.0:
-                continue
-            for extra in itertools.combinations(comp, extra_size):
-                mask = S
-                for j in extra:
-                    mask |= 1 << j
-                if mask not in inputs:
-                    raise ValueError("missing interaction order in input")
-                acc += coeff * inputs[mask]
-        out[S] = acc.astype(float)
-    return out
+    if any(mask_size(S) > k for S in sii):
+        raise ValueError("input contains orders above k")
+    row, rows, coeffs, starts = _aggregation_plan(p, k)
+    at = [row[S] for S in sii]
+    values = np.asarray(list(sii.values()), dtype=float)
+    stacked = np.zeros((len(row),) + values.shape[1:])
+    given = np.zeros(len(row), dtype=bool)
+    stacked[at], given[at] = values, True
+    if not np.logical_and.reduceat(given[rows], starts)[at].all():
+        raise ValueError("missing interaction order in input")
+    # weights along the leading axis, whatever the shape of a curve
+    summed = np.add.reduceat((stacked[rows].T * coeffs).T, starts)
+    return {S: summed[i] for S, i in zip(sii, at)}
 
 
-@lru_cache(maxsize=None)
 def _moebius_redistribution(s: int, r: int, k: int) -> float:
     """Weight a Moebius coefficient of a size-r coalition contributes to the
     order-k aggregation at one of its size-s subsets.
@@ -211,18 +226,11 @@ def _moebius_redistribution(s: int, r: int, k: int) -> float:
 @lru_cache(maxsize=16)
 def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
     """(S, superset masks in descending order, their non-zero order-k
-    weights) for every target coalition S of size 1..k, in canonical order."""
-    descending = np.arange(1 << p, dtype=np.int64)[::-1]
-    out = []
-    for S in itertools.islice(coalition_iter(p, k), 1, None):  # skips the empty set
-        supers = descending[(descending & S) == S]
-        coeffs = np.array([_moebius_redistribution(mask_size(S), mask_size(int(m)), k)
-                           for m in supers])
-        kept = (supers[coeffs != 0.0], coeffs[coeffs != 0.0])
-        for a in kept:  # shared by every caller through the cache
-            a.flags.writeable = False
-        out.append((S,) + kept)
-    return tuple(out)
+    weights) for every target coalition S of size 1..k, in canonical order:
+    the weights of the Moebius coefficients each target receives."""
+    weights = np.array([[_moebius_redistribution(s, r, k) for r in range(p + 1)]
+                        for s in range(k + 1)])
+    return _superset_plan(np.arange(1 << p, dtype=np.int64)[::-1], weights)
 
 
 def _ksii_block(V: np.ndarray, k: int) -> np.ndarray:

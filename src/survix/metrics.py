@@ -5,7 +5,7 @@ approximation error."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.signal import savgol_filter

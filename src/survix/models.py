@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy import integrate

@@ -7,7 +7,6 @@ and administrative censoring truncates at the follow-up horizon.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 

@@ -10,28 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .core import PredictionTarget, TimeGrid, build_time_grid
+from .core import PredictionTarget, build_time_grid
 from .games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
     SurvivalGame,
     evaluate_all_coalitions,
 )
-from .interactions import (
-    ApproximatorConfig,
-    aggregate_ksii,
-    exact_ksii,
-    exact_sii,
-    explain,
-    moebius_transform,
-    reconstruct_from_moebius,
-)
-from .metrics import approximation_error, classify_time_dependence
-from .models import GroundTruthModel, RiskScoreSpec, RiskTerm
+from .interactions import exact_ksii, explain, moebius_transform, reconstruct_from_moebius
+from .metrics import classify_time_dependence
+from .models import GroundTruthModel, RiskScoreSpec
 from .simulate import (
     LAMBDA,
     T_MAX,
@@ -279,7 +271,7 @@ def suite_identities(seed: int = 7, n_games: int = 50) -> List[CheckResult]:
         mo = moebius_transform(table)
         full_order = exact_ksii(table, p)
         worst_full = max(worst_full, max(
-            float(np.max(np.abs(full_order[mask] - mo.lookup(mask))))
+            float(np.max(np.abs(full_order[mask] - mo[mask])))
             for mask in full_order
         ))
         recon = reconstruct_from_moebius(mo)

@@ -1,0 +1,160 @@
+"""Order-k aggregation of interaction indices: the plan-based
+``aggregate_ksii`` against its earlier dict loop, and the k-SII axioms on
+random games for both order-k routes.
+
+The oracle below is the earlier ``aggregate_ksii``, copied verbatim: a walk
+over ``itertools.combinations`` of each target's complement, accumulated in
+long double. The plan-based version sums in float64 in another order, so it
+may differ by the forward error of an n-term dot product.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from survix import approximators
+from survix.core import build_time_grid, mask_size
+from survix.games import ValueTable
+from survix.interactions import _bernoulli_fractions, aggregate_ksii, exact_ksii, exact_sii
+from survix.validation import benchmark_game
+
+EPS = np.finfo(float).eps
+
+
+def oracle_aggregate_ksii(sii, k, p):
+    bern = [float(b) for b in _bernoulli_fractions(k)]
+    inputs = {S: np.asarray(v, dtype=np.longdouble) for S, v in sii.items()}
+    out = {}
+    for S, base in inputs.items():
+        s = mask_size(S)
+        if s > k:
+            raise ValueError("input contains orders above k")
+        acc = base.copy()
+        comp = [j for j in range(p) if not (S >> j) & 1]
+        for extra_size in range(1, k - s + 1):
+            coeff = bern[extra_size]
+            if coeff == 0.0:
+                continue
+            for extra in itertools.combinations(comp, extra_size):
+                mask = S
+                for j in extra:
+                    mask |= 1 << j
+                if mask not in inputs:
+                    raise ValueError("missing interaction order in input")
+                acc += coeff * inputs[mask]
+        out[S] = acc.astype(float)
+    return out
+
+
+def assert_within_forward_error(sii, k, p):
+    """|new - oracle| <= n eps sum|w x| + eps |oracle| per entry, n the
+    number of non-zero terms in the target's sum."""
+    got = aggregate_ksii(sii, k, p)
+    want = oracle_aggregate_ksii(sii, k, p)
+    assert list(got) == list(want)
+    bern = _bernoulli_fractions(k)
+    for S, curve in want.items():
+        terms = [abs(float(bern[mask_size(R) - mask_size(S)])) * np.abs(x)
+                 for R, x in sii.items() if R & S == S and bern[mask_size(R) - mask_size(S)]]
+        bound = len(terms) * EPS * sum(terms) + EPS * np.abs(curve)
+        assert np.all(np.abs(got[S] - curve) <= bound)
+
+
+def random_table(p, T, seed, scale=1.0):
+    vals = scale * np.random.default_rng(seed).standard_normal((1 << p, T))
+    vals[0] = 0.0
+    return ValueTable(p=p, grid=build_time_grid(float(T), T), values=vals)
+
+
+def table_of(p, T, value):
+    """Table of the game mask -> value(mask), value returning a (T,) curve."""
+    vals = np.array([value(m) for m in range(1 << p)], dtype=float)
+    return ValueTable(p=p, grid=build_time_grid(float(T), T), values=vals)
+
+
+def both_routes(table, k):
+    return {"fused": exact_ksii(table, k),
+            "composed": aggregate_ksii(exact_sii(table, k), k, table.p)}
+
+
+def axiom_tol(table):
+    # the Moebius pass adds up to 2^p values p times, the contraction up to
+    # 2^p terms again: a few p 2^p ulps of the largest value
+    return 4 * table.p * (1 << table.p) * EPS * max(1.0, np.max(np.abs(table.values)))
+
+
+@settings(max_examples=60)
+@given(p=st.integers(1, 7), T=st.integers(1, 4), data=st.data())
+def test_matches_dict_loop_on_random_tables(p, T, data):
+    k = data.draw(st.integers(1, p), label="order")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    scale = data.draw(st.sampled_from([1e-8, 1.0, 3.0, 1e6]), label="scale")
+    assert_within_forward_error(exact_sii(random_table(p, T, seed, scale), k), k, p)
+
+
+@pytest.mark.parametrize("method", ["mc", "permutation"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matches_dict_loop_on_estimator_sums(monkeypatch, method, k):
+    game, _ = benchmark_game(seed=5, p=8, n_background=20, n_timepoints=3)
+    seen = []
+    monkeypatch.setattr(approximators, "aggregate_ksii",
+                        lambda sii, k, p: seen.append(sii) or aggregate_ksii(sii, k, p))
+    for budget, seed in [(40, 0), (120, 1), (255, 2)]:
+        approximators.estimate(game, k, method, budget, seed)
+    assert len(seen) == 3
+    for sii in seen:
+        assert_within_forward_error(sii, k, game.p)
+
+
+def test_errors_keep_their_messages():
+    sii = exact_sii(random_table(4, 2, 0), 3)
+    with pytest.raises(ValueError, match="input contains orders above k"):
+        aggregate_ksii(sii, 2, 4)
+    del sii[0b0111]
+    with pytest.raises(ValueError, match="missing interaction order in input"):
+        aggregate_ksii(sii, 3, 4)
+    # a target whose supersets all carry weight zero needs none of them
+    only_top = {S: v for S, v in exact_sii(random_table(4, 2, 1), 2).items()
+                if mask_size(S) == 2}
+    got = aggregate_ksii(only_top, 2, 4)
+    assert got.keys() == only_top.keys()
+    assert all(np.array_equal(got[S], v) for S, v in only_top.items())
+
+
+@settings(max_examples=40)
+@given(p=st.integers(2, 6), T=st.integers(1, 3), data=st.data())
+def test_symmetry_axiom(p, T, data):
+    k = data.draw(st.integers(1, p), label="order")
+    i, j = sorted(data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2,
+                                     unique=True), label="swapped players"))
+    base = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed")).values
+
+    def swap(m):
+        bi, bj = (m >> i) & 1, (m >> j) & 1
+        return m & ~((1 << i) | (1 << j)) | bi << j | bj << i
+    table = table_of(p, T, lambda m: base[min(m, swap(m))])
+    tol = axiom_tol(table)
+    for route, ksii in both_routes(table, k).items():
+        for S, curve in ksii.items():
+            assert np.max(np.abs(curve - ksii[swap(S)])) <= tol, route
+
+
+@settings(max_examples=40)
+@given(p=st.integers(2, 6), T=st.integers(1, 3), data=st.data())
+def test_dummy_axiom(p, T, data):
+    # player d adds its own curve c to every coalition and interacts with none
+    k = data.draw(st.integers(1, p), label="order")
+    d = data.draw(st.integers(0, p - 1), label="dummy player")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    base = random_table(p, T, seed).values
+    c = np.random.default_rng(seed + 1).standard_normal(T)
+    table = table_of(p, T, lambda m: base[m & ~(1 << d)] + ((m >> d) & 1) * c)
+    tol = axiom_tol(table)
+    for route, ksii in both_routes(table, k).items():
+        assert np.max(np.abs(ksii[1 << d] - c)) <= tol, route
+        for S, curve in ksii.items():
+            if S >> d & 1 and S != 1 << d:
+                assert np.max(np.abs(curve)) <= tol, route

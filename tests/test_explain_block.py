@@ -7,6 +7,8 @@ target coalition. Value tables and ``info`` must match it exactly; curves may
 differ only by the order of float additions in the contraction.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from survix.games import (
 from survix.interactions import (
     ApproximatorConfig,
     _moebius_redistribution,
+    _redistribution,
     _submasks,
     explain,
     explain_instances,
@@ -44,6 +47,23 @@ def _oracle_table(predict, x, imputer, grid, baseline):
     return table
 
 
+_scalar_weight = lru_cache(maxsize=None)(_moebius_redistribution)
+
+
+def _oracle_plan(p, k):
+    """One scalar weight per (target, superset) pair, supersets descending."""
+    out = []
+    for S in coalition_iter(p, k):
+        if S == 0:
+            continue
+        s = mask_size(S)
+        supers = _submasks(((1 << p) - 1) ^ S)
+        coeffs = np.array([_scalar_weight(s, s + mask_size(int(m)), k) for m in supers])
+        keep = coeffs != 0.0
+        out.append((S, (supers | S)[keep], coeffs[keep]))
+    return out
+
+
 def _oracle_ksii(table, k):
     n = table.shape[0]
     p = n.bit_length() - 1
@@ -53,17 +73,7 @@ def _oracle_ksii(table, k):
         bit = 1 << j
         has = (idx & bit) != 0
         mo[has] -= mo[idx[has] ^ bit]
-    out = {}
-    for S in coalition_iter(p, k):
-        if S == 0:
-            continue
-        s = mask_size(S)
-        supers = _submasks((n - 1) ^ S)
-        coeffs = np.array([_moebius_redistribution(s, s + mask_size(int(m)), k)
-                           for m in supers])
-        keep = coeffs != 0.0
-        out[S] = coeffs[keep] @ mo[(supers | S)[keep]]
-    return out
+    return {S: coeffs @ mo[supers] for S, supers, coeffs in _oracle_plan(p, k)}
 
 
 def _oracle_explain_instances(predict, X, imputer, grid, k):
@@ -198,6 +208,18 @@ def test_explain_is_the_one_row_block(p, target):
         assert one.info == expl.info
         for key, curve in one.values.items():
             assert np.array_equal(curve, expl.values[key])
+
+
+@pytest.mark.parametrize("p,k", [(1, 1), (2, 2), (3, 2), (3, 3), (12, 3), (14, 3)])
+def test_plan_matches_per_superset_build(p, k):
+    plan = _redistribution(p, k)
+    oracle = _oracle_plan(p, k)
+    assert len(plan) == len(oracle)
+    for (S, supers, coeffs), (S_o, supers_o, coeffs_o) in zip(plan, oracle):
+        assert S == S_o
+        assert np.array_equal(supers, supers_o) and supers.dtype == supers_o.dtype
+        assert np.array_equal(coeffs, coeffs_o)
+        assert not (supers.flags.writeable or coeffs.flags.writeable)
 
 
 def test_evaluate_all_coalitions_matches_oracle():

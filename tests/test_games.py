@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from survix import games
 from survix.core import PredictionTarget, build_time_grid
 from survix.games import (
     ConditionalGaussianImputer,
@@ -218,10 +219,11 @@ class TestValueTable:
         spread = np.max(table.values, axis=1) - np.min(table.values, axis=1)
         assert np.all(spread <= 1e-12)
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
         game, _, _, _ = _marginal_game()
+        monkeypatch.setattr(games, "_TABLE_BYTE_BUDGET", 16)
         with pytest.raises(MemoryError):
-            evaluate_all_coalitions(game, byte_budget=16)
+            evaluate_all_coalitions(game)
 
     def test_dump_csv(self, tmp_path):
         game, _, _, _ = _marginal_game(n_points=2)

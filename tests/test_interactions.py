@@ -78,22 +78,22 @@ def shapley_permutation_oracle(table):
 class TestMoebius:
     def test_two_player_inclusion_exclusion(self):
         mo = moebius_transform(two_player_game())
-        assert mo.lookup(0b11)[0] == pytest.approx(4 - 1 - 2 + 0, abs=1e-14)
-        assert mo.lookup(0b01)[0] == pytest.approx(1.0, abs=1e-14)
+        assert mo[0b11][0] == pytest.approx(4 - 1 - 2 + 0, abs=1e-14)
+        assert mo[0b01][0] == pytest.approx(1.0, abs=1e-14)
 
     def test_additive_game_has_no_interactions(self):
         table = additive_table(4, [0.5, -1.0, 2.0, 0.3])
         mo = moebius_transform(table)
         for mask in range(1 << 4):
             if bin(mask).count("1") >= 2:
-                assert abs(mo.lookup(mask)[0]) < 1e-13
+                assert abs(mo[mask][0]) < 1e-13
 
     def test_matches_naive_oracle(self):
         table = random_table(3, seed=10)
         mo = moebius_transform(table)
         oracle = moebius_oracle(table)
         for mask in range(8):
-            assert np.allclose(mo.lookup(mask), oracle[mask], atol=1e-12)
+            assert np.allclose(mo[mask], oracle[mask], atol=1e-12)
 
     def test_reconstruction_identity(self):
         table = random_table(5, seed=11)
@@ -195,7 +195,7 @@ class TestAggregation:
         agg = exact_ksii(table, 6)
         mo = moebius_transform(table)
         for mask, curve in agg.items():
-            assert np.allclose(curve, mo.lookup(mask), atol=1e-12)
+            assert np.allclose(curve, mo[mask], atol=1e-12)
 
     def test_additive_game_any_order(self):
         coeffs = [0.7, -1.1, 0.4]
