@@ -12,15 +12,12 @@ from .games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
     SurvivalGame,
-    ValueTable,
     conditional_gaussian_params,
     evaluate_all_coalitions,
 )
 from .interactions import (
     ApproximatorConfig,
     aggregate_ksii,
-    discrete_derivative,
-    exact_sii,
     explain,
     moebius_transform,
 )
@@ -38,11 +35,7 @@ from .models import (
     GroundTruthModel,
     RiskScoreSpec,
     RiskTerm,
-    cumulative_hazard,
-    eval_risk_score,
-    eval_target,
     fit_coxph,
-    coxph_survival,
 )
 from .simulate import (
     FeatureSampler,
@@ -50,7 +43,6 @@ from .simulate import (
     build_scenario,
     sample_features,
     simulate_dataset,
-    simulate_event_time,
 )
 
 __version__ = "0.1.0"

@@ -93,10 +93,8 @@ def _mean_derivatives(game: SurvivalGame, targets: List[int],
 
 
 def _exact_fallback(game: SurvivalGame, k: int):
-    table = evaluate_all_coalitions(game)
-    ksii = exact_ksii(table, k)
-    info = {"method": "exact_fallback", "evaluations": 1 << game.p}
-    return ksii, info
+    ksii = exact_ksii(evaluate_all_coalitions(game), k)
+    return ksii, {"method": "exact_fallback", "evaluations": 1 << game.p}
 
 
 def _targets(p: int, k: int) -> List[int]:

@@ -154,7 +154,6 @@ def _build_parser() -> _Parser:
     p_ben.add_argument("--p", type=int, default=None)
     p_ben.add_argument("--timepoints", type=int, default=None)
     p_ben.add_argument("--order", type=int, default=None)
-    p_ben.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -168,7 +167,7 @@ _DEFAULTS = {
                 "n_samples": 1000, "smooth": False, "svg": False},
     "validate": {"seed": 7, "only": "", "tol": 0.0},
     "benchmark": {"budgets": "64,128,256,512", "reps": 30, "seed": 7,
-                  "p": 10, "timepoints": 11, "order": 2, "threads": 1},
+                  "p": 10, "timepoints": 11, "order": 2},
 }
 
 
@@ -199,8 +198,6 @@ def _validate_options(sub: str, opt: dict) -> None:
         print(f"survix {sub}: error: {msg}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
-    if opt.get("threads", 1) < 1:
-        bad("--threads must be >= 1")
     if sub in ("simulate", "explain"):
         if opt.get("n", 1) < 1:
             bad("--n must be >= 1")
@@ -373,8 +370,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     opt = cfg.options
     rows = run_benchmark(seed=opt["seed"], budgets=opt["budgets"],
                          repetitions=opt["reps"], order=opt["order"],
-                         p=opt["p"], n_timepoints=opt["timepoints"],
-                         threads=opt["threads"])
+                         p=opt["p"], n_timepoints=opt["timepoints"])
     path = cfg.out_dir / "benchmark.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,18 +7,20 @@ instance and the rest imputed, minus the unconditional mean prediction, so
 the empty coalition is worth exactly zero.
 
 ``coalition_values`` is the one value engine, over a block of instances (a
-``SurvivalGame`` is its one-instance case); ``all_coalition_values`` yields
-the exact path's value tensors block by block. A predict chunk holds
-coalitions of one instance only, so no row's values depend on its block (a
-BLAS product may round a row by batch shape); it is freed before the next.
-Rows come reference-row-major (row r of every coalition, then r + 1), so a
-coalition mean adds the reference rows in sequence, whatever shares the
-chunk; at T = 1 each coalition sums its own contiguous row, pairwise.
+``SurvivalGame`` is its one-instance case). ``all_coalition_values`` yields
+the exact path's (n, 2^p, T) value tensors block by block, and
+``evaluate_all_coalitions`` returns one game's (2^p, T) array, whose row
+index is the coalition mask; that plain array is the value table everywhere.
+A predict chunk holds coalitions of one instance only, so no row's values
+depend on its block (a BLAS product may round a row by batch shape); it is
+freed before the next. Rows come reference-row-major (row r of every
+coalition, then r + 1), so a coalition mean adds the reference rows in
+sequence, whatever shares the chunk; at T = 1 each coalition sums its own
+contiguous row, pairwise.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -118,6 +120,11 @@ class ConditionalGaussianImputer:
         cov = np.ascontiguousarray(covariance, dtype=float)
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise ValueError(f"mean must be a vector of length p and covariance (p, p), "
+                             f"got shapes {mean.shape} and {cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T):
             raise ValueError("covariance must be symmetric")
         try:
@@ -241,41 +248,10 @@ class SurvivalGame:
             self.reference_mean = reference_mean(self.predict, self.imputer, self.grid)
         return self.reference_mean
 
-    def value(self, mask: int) -> np.ndarray:
-        """Game value curve for one coalition over the grid."""
-        return self.values_for_masks([mask])[0]
-
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
         """(n_masks, T) value curves in the order of ``masks``."""
         return coalition_values(self.predict, self.x[None, :], self.imputer,
                                 self.grid, masks, self.baseline())[0]
-
-
-class ValueTable:
-    """Values of all 2^p coalitions on a grid: a (2^p, T) matrix whose row
-    index is the coalition mask."""
-
-    def __init__(self, p: int, grid: TimeGrid, values: np.ndarray):
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (1 << p, len(grid)):
-            raise ValueError(f"values must be (2^p, T) = {(1 << p, len(grid))}")
-        values.flags.writeable = False
-        self.p = p
-        self.grid = grid
-        self.values = values
-
-    def lookup(self, mask: int) -> np.ndarray:
-        return self.values[mask]
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "coalition", "value"])
-            for ti, t in enumerate(self.grid.points):
-                for mask in range(1 << self.p):
-                    label = coalition_label(indices_from_mask(mask)) if mask else "empty"
-                    writer.writerow([repr(float(t)), label,
-                                     repr(float(self.values[mask, ti]))])
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
@@ -299,9 +275,10 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
                                np.arange(1 << p), baseline)
 
 
-def evaluate_all_coalitions(game: SurvivalGame) -> ValueTable:
-    """Complete value table of one game: the one-row case of
-    ``all_coalition_values``."""
+def evaluate_all_coalitions(game: SurvivalGame) -> np.ndarray:
+    """Read-only (2^p, T) values of every coalition of one game, whose row
+    index is the coalition mask: the one-row case of ``all_coalition_values``."""
     values = next(all_coalition_values(game.predict, game.x[None, :], game.imputer,
-                                       game.grid, game.baseline()))
-    return ValueTable(p=game.p, grid=game.grid, values=values[0])
+                                       game.grid, game.baseline()))[0]
+    values.flags.writeable = False
+    return values

@@ -1,8 +1,10 @@
 """Exact Shapley interaction computation on coalition value tables.
 
-The exact pipeline is: complete value table -> Shapley interaction index per
-coalition (each order uses its own weight normalization) -> aggregation to a
-fixed maximum order. The aggregation redistributes higher-order mass with
+A value table is a plain (2^p, T) array whose row index is the coalition
+mask. The order-k indices (k-SII) are the Shapley interaction index of each
+coalition (each order with its own weight normalization) aggregated to a
+fixed maximum order; the exact path reaches them from the table's Moebius
+coefficients in one step. The aggregation redistributes higher-order mass with
 Bernoulli-number weights, which keeps the top order equal to the raw index,
 preserves efficiency at every timepoint, reduces to Shapley values at order
 one, and reproduces the Moebius transform at full order.
@@ -34,12 +36,7 @@ from .core import (
     indices_from_mask,
     mask_size,
 )
-from .games import (
-    SurvivalGame,
-    ValueTable,
-    all_coalition_values,
-    reference_mean,
-)
+from .games import SurvivalGame, all_coalition_values, reference_mean
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -68,39 +65,33 @@ def _zeta_pass(V: np.ndarray, op) -> np.ndarray:
     return V
 
 
-def moebius_transform(table: ValueTable) -> np.ndarray:
-    """Read-only (2^p, T) Moebius coefficients of a table, indexed by mask:
-    the pure per-coalition effects whose subset sums reproduce every
-    coalition value. In-place subset-sum pass, O(p 2^p) per timepoint."""
-    V = _zeta_pass(table.values.copy(), np.subtract)
+def _players(values: np.ndarray) -> int:
+    """p of a (2^p, T) value array with p >= 1; ValueError for any other
+    shape."""
+    n = values.shape[0] if values.ndim == 2 else 0
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"values must be a (2^p, T) array with p >= 1, "
+                         f"got shape {values.shape}")
+    return n.bit_length() - 1
+
+
+def moebius_transform(values: np.ndarray) -> np.ndarray:
+    """Read-only (2^p, T) Moebius coefficients of a (2^p, T) value array,
+    indexed by mask: the pure per-coalition effects whose subset sums
+    reproduce every coalition value. In-place subset-sum pass, O(p 2^p) per
+    timepoint."""
+    V = np.array(values, dtype=float)
+    _players(V)
+    _zeta_pass(V, np.subtract)
     V.flags.writeable = False
     return V
 
 
 def reconstruct_from_moebius(mo: np.ndarray) -> np.ndarray:
     """Inverse (zeta) transform; returns the (2^p, T) value matrix."""
-    return _zeta_pass(mo.copy(), np.add)
-
-
-def discrete_derivative(table: ValueTable, K: int, M: int, t: float | None = None):
-    """Alternating sum of values over subsets of K joined onto M.
-
-    K and M are coalition masks and must be disjoint. Returns the full curve
-    over the grid, or a scalar when ``t`` names a grid point.
-    """
-    if K & M:
-        raise ValueError("K and M must be disjoint")
-    out = np.zeros(len(table.grid))
-    kp = mask_size(K)
-    for L in _submasks(K):
-        sign = -1.0 if (kp - mask_size(int(L))) % 2 else 1.0
-        out += sign * table.lookup(M | int(L))
-    if t is None:
-        return out
-    hits = np.flatnonzero(np.isclose(table.grid.points, t))
-    if hits.size == 0:
-        raise ValueError(f"t={t} is not a grid point")
-    return float(out[hits[0]])
+    V = np.array(mo, dtype=float)
+    _players(V)
+    return _zeta_pass(V, np.add)
 
 
 @lru_cache(maxsize=None)
@@ -113,42 +104,6 @@ def _bernoulli_fractions(n: int):
             acc += math.comb(m + 1, j) * bern[j]
         bern.append(-acc / (m + 1))
     return tuple(bern)
-
-
-def exact_sii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
-    """Shapley interaction index curves for every coalition of size 1..k.
-
-    For a coalition K the index averages discrete derivatives over subsets M
-    of the remaining features, weighted by 1 / ((p-|K|+1) * C(p-|K|, |M|)).
-    Accumulation runs in extended precision; the alternating sums otherwise
-    lose enough digits to disturb downstream identity checks.
-    """
-    p = table.p
-    if not 1 <= k <= p:
-        raise ValueError(f"order must lie in 1..{p}")
-    V = table.values.astype(np.longdouble)
-    full = (1 << p) - 1
-    out: Dict[int, np.ndarray] = {}
-    comb_cache = {}
-    for K in coalition_iter(p, k):
-        if K == 0:
-            continue
-        kp = mask_size(K)
-        rest = full ^ K
-        subs = _submasks(rest)
-        sizes = np.array([mask_size(int(m)) for m in subs])
-        if kp not in comb_cache:
-            comb_cache[kp] = np.array(
-                [math.comb(p - kp, s) for s in range(p - kp + 1)],
-                dtype=np.longdouble,
-            )
-        weights = 1.0 / ((p - kp + 1) * comb_cache[kp][sizes])
-        delta = np.zeros((subs.size, V.shape[1]), dtype=np.longdouble)
-        for L in _submasks(K):
-            sign = -1.0 if (kp - mask_size(int(L))) % 2 else 1.0
-            delta += sign * V[subs | int(L)]
-        out[K] = (weights @ delta).astype(float)
-    return out
 
 
 def _superset_plan(candidates: np.ndarray, weights: np.ndarray):
@@ -247,11 +202,14 @@ def _ksii_block(V: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def exact_ksii(table: ValueTable, k: int) -> Dict[int, np.ndarray]:
-    """Fused exact pipeline: Moebius transform, then direct redistribution of
-    every coefficient onto its subsets of order <= k."""
-    curves = _ksii_block(table.values[None], k)[0]
-    return {S: curves[i] for i, (S, _, _) in enumerate(_redistribution(table.p, k))}
+def exact_ksii(values: np.ndarray, k: int) -> Dict[int, np.ndarray]:
+    """Fused exact pipeline on a (2^p, T) value array: Moebius transform,
+    then direct redistribution of every coefficient onto its subsets of
+    order <= k."""
+    values = np.asarray(values, dtype=float)
+    p = _players(values)
+    curves = _ksii_block(values[None], k)[0]
+    return {S: curves[i] for i, (S, _, _) in enumerate(_redistribution(p, k))}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .core import InteractionExplanation, SurvivalDataset, TimeGrid
 
@@ -182,6 +181,9 @@ def integrated_brier(surv: np.ndarray, data: SurvivalDataset,
 def savgol_smooth(series: np.ndarray, window: int = 11,
                   poly_order: int = 3) -> np.ndarray:
     """Savitzky-Golay smoothing with polynomial boundary handling."""
+    # imported here: scipy.signal alone costs more than the rest of survix
+    from scipy.signal import savgol_filter
+
     series = np.asarray(series, dtype=float)
     if window % 2 == 0 or window < 1:
         raise ValueError("window must be a positive odd integer")

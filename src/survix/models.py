@@ -8,8 +8,8 @@ vocabulary is closed ('constant' or 'log1p'), so the risk score is
 G(t|x) = c0(x) + c1(x) * log1p(t) and every scale, survival included,
 evaluates in closed form: the cumulative hazard is
 lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. Each batch prediction
-allocates one (m, T) array and computes in place into it. The scalar
-cumulative_hazard integrates adaptively instead and serves as the check.
+allocates one (m, T) array and computes in place into it; there is one
+implementation of each scale, the batch one, also for a single row or time.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .core import PredictionTarget
-
-QUAD_ABS_TOL = 1e-10
 
 _ARCTAN_RE = re.compile(r"scaled_arctan\(\s*([-+0-9.eE]+)\s*\)")
 
@@ -126,18 +123,6 @@ class RiskScoreSpec:
         return np.vstack([t.time_factor(times) for t in self.terms])
 
 
-def eval_risk_score(risk: RiskScoreSpec, x: np.ndarray, t: float) -> float:
-    """Risk score G(t|x) for a single observation and timepoint."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (risk.p,):
-        raise ValueError(f"expected a vector of length {risk.p}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    products = risk.term_products(x[None, :])[0]
-    factors = risk.time_factors([t])[:, 0]
-    return float(products @ factors)
-
-
 @dataclass(frozen=True)
 class GroundTruthModel:
     """Constant baseline hazard lam times exp(risk score)."""
@@ -235,64 +220,6 @@ def _check_finite(values: np.ndarray) -> None:
             "non-finite model prediction (overflow in exp); "
             "check coefficients and feature ranges"
         )
-
-
-def _exp_checked(value: float) -> float:
-    try:
-        out = math.exp(value)
-    except OverflowError:
-        raise FloatingPointError(f"exp({value:.3g}) overflows") from None
-    if not math.isfinite(out):
-        raise FloatingPointError(f"exp({value:.3g}) overflows")
-    return out
-
-
-def cumulative_hazard(model: GroundTruthModel, x: np.ndarray, t: float) -> float:
-    """Scalar cumulative hazard with adaptive quadrature on [0, t].
-
-    Uses the closed form lam * t * exp(G(x)) when the risk score is
-    time-independent; otherwise adaptive Gauss-Kronrod integration to
-    absolute tolerance QUAD_ABS_TOL.
-    """
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return 0.0
-    if model.time_independent:
-        return float(model.lam * t * _exp_checked(eval_risk_score(model.risk, x, 0.0)))
-    products = model.risk.term_products(x[None, :])[0]
-
-    def integrand(u):
-        factors = model.risk.time_factors(np.atleast_1d(u))
-        return model.lam * np.exp(products @ factors)
-
-    value, abserr = integrate.quad(
-        lambda u: float(integrand(u)[0]), 0.0, t,
-        epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200,
-    )
-    if not math.isfinite(value):
-        raise FloatingPointError("cumulative hazard overflowed")
-    if abserr > max(QUAD_ABS_TOL, 1e-8 * abs(value)):
-        raise RuntimeError(
-            f"quadrature did not reach tolerance (residual estimate {abserr:.3e})"
-        )
-    return float(value)
-
-
-def eval_target(model: GroundTruthModel, target: PredictionTarget,
-                x: np.ndarray, t: float) -> float:
-    """Scalar log-hazard, hazard, or survival evaluation."""
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if target is PredictionTarget.LOG_HAZARD:
-        return math.log(model.lam) + eval_risk_score(model.risk, x, t)
-    if target is PredictionTarget.HAZARD:
-        return model.lam * _exp_checked(eval_risk_score(model.risk, x, t))
-    if target is PredictionTarget.SURVIVAL:
-        return math.exp(-cumulative_hazard(model, x, t))
-    raise ValueError(f"unknown target {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +344,6 @@ class CoxModel:
             baseline_cumhaz=baseline[:, 1],
             mean=np.array(payload["mean"]),
         )
-
-
-def coxph_survival(model: CoxModel, x: np.ndarray, t: float) -> float:
-    """Predicted survival probability for one observation at one timepoint."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(model.survival_matrix(np.asarray(x)[None, :], [t])[0, 0])
 
 
 def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:

@@ -187,11 +187,6 @@ def simulate_event_times(model: GroundTruthModel, X: np.ndarray,
     return out
 
 
-def simulate_event_time(model: GroundTruthModel, x: np.ndarray, u: float) -> float:
-    """Single event-time draw (see simulate_event_times)."""
-    return float(simulate_event_times(model, np.asarray(x)[None, :], [u])[0])
-
-
 def apply_censoring(times, t_max: float) -> Tuple[np.ndarray, np.ndarray]:
     """Administrative censoring: y = min(t, t_max), event iff t < t_max."""
     if t_max <= 0:

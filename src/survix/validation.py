@@ -8,6 +8,7 @@ implementation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
@@ -240,24 +241,19 @@ def suite_thm5(seed: int = 7, n_repeats: int = 5,
 # suite: algebraic identities on random games
 # ---------------------------------------------------------------------------
 
-def _random_table(p: int, T: int, rng) -> "ValueTable":
-    from .games import ValueTable
-
-    grid = build_time_grid(float(T), T)
+def _random_table(p: int, T: int, rng) -> np.ndarray:
     values = rng.standard_normal((1 << p, T))
     values[0] = 0.0
-    return ValueTable(p=p, grid=grid, values=values)
+    return values
 
 
-def _permutation_shapley(table, p: int) -> Dict[int, np.ndarray]:
-    import itertools
-
-    out = {1 << j: np.zeros(len(table.grid)) for j in range(p)}
+def _permutation_shapley(values: np.ndarray, p: int) -> Dict[int, np.ndarray]:
+    out = {1 << j: np.zeros(values.shape[1]) for j in range(p)}
     perms = list(itertools.permutations(range(p)))
     for perm in perms:
         mask = 0
         for j in perm:
-            out[1 << j] += table.lookup(mask | (1 << j)) - table.lookup(mask)
+            out[1 << j] += values[mask | (1 << j)] - values[mask]
             mask |= 1 << j
     return {k: v / len(perms) for k, v in out.items()}
 
@@ -275,9 +271,7 @@ def suite_identities(seed: int = 7, n_games: int = 50) -> List[CheckResult]:
             for mask in full_order
         ))
         recon = reconstruct_from_moebius(mo)
-        worst_recon = max(worst_recon, float(np.max(np.abs(
-            recon - table.values
-        ))))
+        worst_recon = max(worst_recon, float(np.max(np.abs(recon - table))))
         if p <= 4:
             shap = _permutation_shapley(table, p)
             order1 = exact_ksii(table, 1)
@@ -287,7 +281,7 @@ def suite_identities(seed: int = 7, n_games: int = 50) -> List[CheckResult]:
             ))
         for k in range(1, p + 1):
             ksii = exact_ksii(table, k)
-            resid = sum(ksii.values()) - table.lookup((1 << p) - 1)
+            resid = sum(ksii.values()) - table[(1 << p) - 1]
             worst_eff = max(worst_eff, float(np.max(np.abs(resid))))
     return [
         CheckResult("identities", "full_order_equals_moebius",
@@ -359,11 +353,10 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
                   repetitions: int = 30,
                   methods: Sequence[str] = ("mc", "permutation", "regression"),
                   order: int = 2, p: int = 10,
-                  n_timepoints: int = 11, threads: int = 1) -> List[dict]:
+                  n_timepoints: int = 11) -> List[dict]:
     """Per (method, budget, repetition) mean squared error against the exact
     decomposition of one fixed game."""
     import warnings as _warnings
-    from concurrent.futures import ThreadPoolExecutor
 
     from . import approximators
 
@@ -372,15 +365,9 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
     if max(budgets) > (1 << p):
         raise ValueError("budget exceeds full enumeration")
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
-    table = evaluate_all_coalitions(game)
-    exact = exact_ksii(table, order)
-    jobs = [
-        (method, budget, rep)
-        for method in methods for budget in budgets for rep in range(repetitions)
-    ]
-
-    def one(job):
-        method, budget, rep = job
+    exact = exact_ksii(evaluate_all_coalitions(game), order)
+    rows = []
+    for method, budget, rep in itertools.product(methods, budgets, range(repetitions)):
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
             est, info = approximators.estimate(game, order, method, budget,
@@ -391,15 +378,11 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
             diff = est[mask] - curve
             sq += float(np.sum(diff ** 2))
             count += diff.size
-        return {
+        rows.append({
             "method": method,
             "budget": int(budget),
             "run": int(rep),
             "mse": sq / count,
             "unstable": bool(info.get("unstable", False)),
-        }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+        })
+    return rows

@@ -1,6 +1,7 @@
 """Order-k aggregation of interaction indices: the plan-based
-``aggregate_ksii`` against its earlier dict loop, and the k-SII axioms on
-random games for both order-k routes.
+``aggregate_ksii`` against its earlier dict loop, the k-SII axioms on
+random games for both order-k routes, and linearity and the Moebius round
+trip within their forward-error bounds.
 
 The oracle below is the earlier ``aggregate_ksii``, copied verbatim: a walk
 over ``itertools.combinations`` of each target's complement, accumulated in
@@ -15,10 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_sii
 from survix import approximators
-from survix.core import build_time_grid, mask_size
-from survix.games import ValueTable
-from survix.interactions import _bernoulli_fractions, aggregate_ksii, exact_ksii, exact_sii
+from survix.core import mask_size
+from survix.interactions import (
+    _bernoulli_fractions,
+    _redistribution,
+    aggregate_ksii,
+    exact_ksii,
+    moebius_transform,
+    reconstruct_from_moebius,
+)
 from survix.validation import benchmark_game
 
 EPS = np.finfo(float).eps
@@ -66,24 +74,39 @@ def assert_within_forward_error(sii, k, p):
 def random_table(p, T, seed, scale=1.0):
     vals = scale * np.random.default_rng(seed).standard_normal((1 << p, T))
     vals[0] = 0.0
-    return ValueTable(p=p, grid=build_time_grid(float(T), T), values=vals)
+    return vals
 
 
 def table_of(p, T, value):
     """Table of the game mask -> value(mask), value returning a (T,) curve."""
-    vals = np.array([value(m) for m in range(1 << p)], dtype=float)
-    return ValueTable(p=p, grid=build_time_grid(float(T), T), values=vals)
+    return np.array([value(m) for m in range(1 << p)], dtype=float)
+
+
+def players(table):
+    return table.shape[0].bit_length() - 1
 
 
 def both_routes(table, k):
     return {"fused": exact_ksii(table, k),
-            "composed": aggregate_ksii(exact_sii(table, k), k, table.p)}
+            "composed": aggregate_ksii(exact_sii(table, k), k, players(table))}
 
 
 def axiom_tol(table):
     # the Moebius pass adds up to 2^p values p times, the contraction up to
     # 2^p terms again: a few p 2^p ulps of the largest value
-    return 4 * table.p * (1 << table.p) * EPS * max(1.0, np.max(np.abs(table.values)))
+    p = players(table)
+    return 4 * p * (1 << p) * EPS * max(1.0, np.max(np.abs(table)))
+
+
+def subset_sums(x):
+    """Row S of the result is the sum of the rows L of x over the subsets L
+    of S: an O(4^p) product, independent of the library's passes."""
+    masks = np.arange(x.shape[0])
+    return ((masks[None, :] & ~masks[:, None]) == 0).astype(float) @ x
+
+
+SCALES = st.sampled_from([1e-8, 1.0, 3.0, 1e6])
+FACTORS = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
 
 
 @settings(max_examples=60)
@@ -91,7 +114,7 @@ def axiom_tol(table):
 def test_matches_dict_loop_on_random_tables(p, T, data):
     k = data.draw(st.integers(1, p), label="order")
     seed = data.draw(st.integers(0, 2**16), label="seed")
-    scale = data.draw(st.sampled_from([1e-8, 1.0, 3.0, 1e6]), label="scale")
+    scale = data.draw(SCALES, label="scale")
     assert_within_forward_error(exact_sii(random_table(p, T, seed, scale), k), k, p)
 
 
@@ -130,7 +153,7 @@ def test_symmetry_axiom(p, T, data):
     k = data.draw(st.integers(1, p), label="order")
     i, j = sorted(data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2,
                                      unique=True), label="swapped players"))
-    base = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed")).values
+    base = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed"))
 
     def swap(m):
         bi, bj = (m >> i) & 1, (m >> j) & 1
@@ -149,7 +172,7 @@ def test_dummy_axiom(p, T, data):
     k = data.draw(st.integers(1, p), label="order")
     d = data.draw(st.integers(0, p - 1), label="dummy player")
     seed = data.draw(st.integers(0, 2**16), label="seed")
-    base = random_table(p, T, seed).values
+    base = random_table(p, T, seed)
     c = np.random.default_rng(seed + 1).standard_normal(T)
     table = table_of(p, T, lambda m: base[m & ~(1 << d)] + ((m >> d) & 1) * c)
     tol = axiom_tol(table)
@@ -158,3 +181,40 @@ def test_dummy_axiom(p, T, data):
         for S, curve in ksii.items():
             if S >> d & 1 and S != 1 << d:
                 assert np.max(np.abs(curve)) <= tol, route
+
+
+@settings(max_examples=60)
+@given(p=st.integers(1, 7), T=st.integers(1, 4), data=st.data())
+def test_linearity_axiom(p, T, data):
+    # exact_ksii(a v + b w) = a exact_ksii(v) + b exact_ksii(w). Each side
+    # rounds a depth-p Moebius tree and an n-term contraction over the
+    # supersets R of S: per entry at most (n + p) eps sum_R |c_R| M(R), with
+    # M(R) = sum over L in R of |a v(L)| + |b w(L)|, once for each side and
+    # once for forming a v + b w, plus the final scaling and addition
+    k = data.draw(st.integers(1, p), label="order")
+    v = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed v"),
+                     data.draw(SCALES, label="scale v"))
+    w = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed w"),
+                     data.draw(SCALES, label="scale w"))
+    a, b = data.draw(FACTORS, label="a"), data.draw(FACTORS, label="b")
+    combined = exact_ksii(a * v + b * w, k)
+    kv, kw = exact_ksii(v, k), exact_ksii(w, k)
+    mass = subset_sums(np.abs(a * v) + np.abs(b * w))
+    for S, supers, coeffs in _redistribution(p, k):
+        summed = a * kv[S] + b * kw[S]
+        bound = (3 * (coeffs.size + p + 3) * EPS * (np.abs(coeffs) @ mass[supers])
+                 + 2 * EPS * (np.abs(a * kv[S]) + np.abs(b * kw[S])))
+        assert np.all(np.abs(combined[S] - summed) <= bound)
+
+
+@settings(max_examples=60)
+@given(p=st.integers(1, 7), T=st.integers(1, 4), data=st.data())
+def test_moebius_round_trip(p, T, data):
+    # each pass rounds a depth-p tree over the subsets of S: the transform
+    # errs by at most p eps sum_{L in S} |v(L)| per entry, and the inverse
+    # adds p eps sum_{R in S} |mo(R)| plus the first error summed over R in S
+    v = random_table(p, T, data.draw(st.integers(0, 2**16), label="seed"),
+                     data.draw(SCALES, label="scale"))
+    mo = moebius_transform(v)
+    bound = 1.01 * p * EPS * (subset_sums(np.abs(mo)) + subset_sums(subset_sums(np.abs(v))))
+    assert np.all(np.abs(reconstruct_from_moebius(mo) - v) <= bound)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_sii
 from survix.approximators import (
     _COND_LIMIT,
     RIDGE,
@@ -17,7 +18,7 @@ from survix.approximators import (
 )
 from survix.core import PredictionTarget, build_time_grid, coalition_iter, mask_size
 from survix.games import MarginalEmpiricalImputer, SurvivalGame, evaluate_all_coalitions
-from survix.interactions import aggregate_ksii, exact_ksii, exact_sii
+from survix.interactions import aggregate_ksii, exact_ksii
 from survix.simulate import FeatureSampler, build_scenario, sample_features
 from survix.validation import benchmark_game
 
@@ -103,11 +104,11 @@ def permutation_window_oracle(table, p, k):
                 for j in perm[pos:pos + order]:
                     K |= 1 << j
                 M = prefix[pos]
-                delta = np.zeros(len(table.grid))
+                delta = np.zeros(table.shape[1])
                 sub = K
                 while True:
                     sign = (-1) ** (bin(K).count("1") - bin(sub).count("1"))
-                    delta = delta + sign * table.lookup(M | sub)
+                    delta = delta + sign * table[M | sub]
                     if sub == 0:
                         break
                     sub = (sub - 1) & K
@@ -155,11 +156,11 @@ class TestRegression:
         game = small_game(scenario=3, target=PredictionTarget.LOG_HAZARD)
         table = evaluate_all_coalitions(game)
         perms = list(itertools.permutations(range(3)))
-        oracle = {1 << j: np.zeros(len(table.grid)) for j in range(3)}
+        oracle = {1 << j: np.zeros(table.shape[1]) for j in range(3)}
         for perm in perms:
             mask = 0
             for j in perm:
-                oracle[1 << j] += table.lookup(mask | (1 << j)) - table.lookup(mask)
+                oracle[1 << j] += table[mask | (1 << j)] - table[mask]
                 mask |= 1 << j
         oracle = {m: v / len(perms) for m, v in oracle.items()}
         est, info = approx_regression(game, 1, budget=8, seed=0,
@@ -189,7 +190,7 @@ class TestRegression:
 
     def test_efficiency_holds_at_any_budget(self):
         game, _ = benchmark_game(seed=5, n_background=40, n_timepoints=3)
-        full = game.value(game.full_mask)
+        full = game.values_for_masks([game.full_mask])[0]
         for budget in (40, 130, 300):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -491,7 +492,7 @@ class TestAgainstOracle:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         game = elementwise_game(p, seed, n_ref=data.draw(st.integers(1, 6)),
                                 n_points=data.draw(st.integers(1, 4)))
-        full = game.value(game.full_mask)
+        full = game.values_for_masks([game.full_mask])[0]
         for method, (new, old) in sorted(ESTIMATORS.items()):
             if method == "regression" and budget < 2 * (k + 1):
                 with pytest.raises(ValueError, match="regression needs"):

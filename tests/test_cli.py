@@ -151,8 +151,9 @@ class TestBenchmarkCommand:
                     "--reps", 1, "--out", tmp_path])
         assert code == 1
 
-    @pytest.mark.parametrize("sub", ["simulate", "explain", "validate"])
+    @pytest.mark.parametrize("sub", ["simulate", "explain", "validate", "benchmark"])
     def test_threads_is_a_benchmark_option(self, tmp_path, sub):
+        # the option is gone: every subcommand rejects it as a usage error
         assert run([sub, "--threads", 2, "--out", tmp_path]) == 1
 
 

@@ -1,0 +1,102 @@
+"""Edge inputs through ``explain``: one feature, one timepoint, one
+reference row, a bounded cumulative hazard and a near-singular conditional
+covariance either work or fail with a clear error."""
+
+import numpy as np
+import pytest
+
+from survix.core import PredictionTarget, build_time_grid
+from survix.games import ConditionalGaussianImputer, MarginalEmpiricalImputer
+from survix.interactions import ApproximatorConfig, explain
+from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
+from survix.simulate import build_scenario
+
+EPS = np.finfo(float).eps
+# efficiency of a p = 3 table: the Moebius pass and the contraction each add
+# up to 2^p terms over p levels, so a few p 2^p ulps of the largest value
+EFFICIENCY_ULPS = 8 * 3 * 2**3
+X_STAR = np.array([-1.2650, 2.4162, -0.6436])
+TARGET = PredictionTarget.LOG_HAZARD
+
+# (p, timepoints, reference rows): each case puts one input at its minimum
+EDGES = {"one_feature": (1, 5, 7), "one_timepoint": (6, 1, 7), "one_reference_row": (6, 5, 1)}
+
+
+def additive_case(p, T, n_ref, seed=3):
+    """An additive log-hazard game: feature j adds beta_j (x_j - b_j) log1p(t)
+    under the marginal imputer, so every discrete derivative of a singleton
+    is its own curve and every larger one vanishes, whatever is sampled."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.5, 2.0, p)
+    grid = build_time_grid(70, T)
+
+    def predict(X, t):
+        return np.multiply.outer(X @ beta, np.log1p(t)) + 0.25
+
+    return predict, rng.standard_normal(p), MarginalEmpiricalImputer(
+        rng.standard_normal((n_ref, p))), grid
+
+
+@pytest.mark.parametrize("method", ["mc", "permutation", "regression"])
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_estimators_at_edge_inputs(edge, method):
+    p, T, n_ref = EDGES[edge]
+    predict, x, imputer, grid = additive_case(p, T, n_ref)
+    order = min(2, p)
+    exact = explain(predict, x, imputer, grid, order, TARGET)
+    # 50 of 64 coalitions leave regression two design rows per basis column
+    budget = 2 if p == 1 else 50
+    expl = explain(predict, x, imputer, grid, order, TARGET,
+                   method=ApproximatorConfig(method, budget, seed=1))
+    assert expl.info["method"] == ("exact_fallback" if p == 1 else method)
+    assert expl.info["evaluations"] <= budget
+    assert np.array_equal(expl.baseline, exact.baseline)
+    assert list(expl.values) == list(exact.values)
+    scale = max(1.0, exact.info["table_scale"])
+    for key, curve in exact.values.items():
+        assert expl.values[key].shape == (T,)
+        assert np.max(np.abs(expl.values[key] - curve)) <= 64 * p * EPS * scale, key
+
+
+# a = 1 + c1 < 0 on every row, so H(t|x) rises to the finite bound
+# lam e^c0 / (-a) and S(t|x) stays above exp(-bound)
+BOUNDED = GroundTruthModel(lam=0.03, risk=RiskScoreSpec(p=3, terms=(
+    RiskTerm((0,), -2.0, time="log1p"),
+    RiskTerm((1,), -0.8),
+    RiskTerm((0, 2), 0.2),
+)))
+
+
+@pytest.mark.parametrize("target", list(PredictionTarget), ids=lambda t: t.value)
+def test_bounded_cumulative_hazard_is_efficient(target):
+    rng = np.random.default_rng(8)
+    background = rng.standard_normal((200, 3))
+    background[:, 0] = rng.uniform(0.6, 2.0, 200)  # c1 = -2 x_0 < -1
+    x = np.array([1.3, -0.4, 0.9])
+    grid = build_time_grid(500, 41)
+    c0, c1 = BOUNDED.loads(np.vstack([background, x]))
+    assert np.all(c1 < -1)
+    expl = explain(BOUNDED.prediction_function(target), x,
+                   MarginalEmpiricalImputer(background), grid, 2, target)
+    prediction = BOUNDED.predict(x[None, :], grid.points, target)[0]
+    bound = EFFICIENCY_ULPS * EPS * max(1.0, expl.info["table_scale"])
+    assert all(np.all(np.isfinite(c)) for c in expl.values.values())
+    assert np.max(np.abs(expl.attribution_sum() - prediction)) <= bound
+    assert expl.info["efficiency_residual"] <= bound
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-15])
+@pytest.mark.parametrize("target", list(PredictionTarget), ids=lambda t: t.value)
+def test_near_singular_conditional_covariance(target, gap):
+    # features 0 and 2 correlated at 1 - gap; the conditionals given one of
+    # them are nearly degenerate, given both the solve is ill-conditioned
+    cov = np.eye(3)
+    cov[0, 2] = cov[2, 0] = 1.0 - gap
+    imputer = ConditionalGaussianImputer(np.zeros(3), cov, n_samples=300, seed=4)
+    model = build_scenario(10)
+    grid = build_time_grid(70, 21)
+    expl = explain(model.prediction_function(target), X_STAR, imputer, grid, 2, target)
+    prediction = model.predict(X_STAR[None, :], grid.points, target)[0]
+    assert all(np.all(np.isfinite(c)) for c in expl.values.values())
+    bound = EFFICIENCY_ULPS * EPS * max(1.0, expl.info["table_scale"])
+    assert np.max(np.abs(expl.attribution_sum() - prediction)) <= bound

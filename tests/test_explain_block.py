@@ -227,7 +227,8 @@ def test_evaluate_all_coalitions_matches_oracle():
     game = SurvivalGame(predict, X[0], imputer, grid)
     table = evaluate_all_coalitions(game)
     oracle = _oracle_table(predict, X[0], imputer, grid, game.baseline())
-    assert np.array_equal(table.values, oracle)
+    assert np.array_equal(table, oracle)
+    assert not table.flags.writeable
 
 
 def test_instance_blocks_stay_within_the_float_budget(monkeypatch):

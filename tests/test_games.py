@@ -7,7 +7,6 @@ from survix.games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
     SurvivalGame,
-    ValueTable,
     conditional_gaussian_params,
     evaluate_all_coalitions,
 )
@@ -72,15 +71,28 @@ class TestConditionalGaussian:
             conditional_gaussian_params(np.zeros(3), singular, [0, 1],
                                         np.zeros(2))
 
+    def test_imputer_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"covariance \(p, p\), got shapes \(3,\) "
+                                             r"and \(2, 2\)"):
+            ConditionalGaussianImputer(np.zeros(3), np.eye(2))
+        with pytest.raises(ValueError, match="mean must be a vector"):
+            ConditionalGaussianImputer(np.zeros((1, 2)), np.eye(2))
+
+    def test_imputer_rejects_non_finite_covariance(self):
+        cov = np.eye(3)
+        cov[0, 2] = cov[2, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            ConditionalGaussianImputer(np.zeros(3), cov)
+
 
 class TestMarginalGame:
     def test_empty_coalition_is_zero(self):
         game, _, _, _ = _marginal_game()
-        assert np.array_equal(game.value(0), np.zeros(len(game.grid)))
+        assert np.array_equal(game.values_for_masks([0])[0], np.zeros(len(game.grid)))
 
     def test_full_coalition_is_centered_prediction(self):
         game, model, bg, grid = _marginal_game(target=PredictionTarget.HAZARD)
-        full = game.value(7)
+        full = game.values_for_masks([7])[0]
         pred = model.predict(X_STAR[None, :], grid.points,
                              PredictionTarget.HAZARD)[0]
         base = model.predict(bg, grid.points, PredictionTarget.HAZARD).mean(axis=0)
@@ -95,7 +107,7 @@ class TestMarginalGame:
         mixed = np.array([X_STAR[0], 0.2, 0.3])
         expected = predict(mixed[None, :], grid.points)[0] - \
             predict(bg, grid.points)[0]
-        assert np.allclose(game.value(0b001), expected, atol=1e-14)
+        assert np.allclose(game.values_for_masks([0b001])[0], expected, atol=1e-14)
 
     def test_dummy_feature_changes_nothing(self):
         # feature 2 is inert in dep_demo, so adding it to any coalition
@@ -107,8 +119,8 @@ class TestMarginalGame:
         game = SurvivalGame(model.prediction_function(PredictionTarget.LOG_HAZARD),
                             X_STAR, MarginalEmpiricalImputer(bg), grid)
         for mask in (0b000, 0b001, 0b010, 0b011):
-            with_j = game.value(mask | 0b100)
-            without = game.value(mask)
+            with_j = game.values_for_masks([mask | 0b100])[0]
+            without = game.values_for_masks([mask])[0]
             # identical predictions row-for-row; only the mean's rounding and
             # the full-coalition shortcut separate the two values
             assert np.allclose(with_j, without, atol=1e-13, rtol=0)
@@ -120,8 +132,8 @@ class TestMarginalGame:
                              X_STAR,
                              MarginalEmpiricalImputer(bg[rng.permutation(64)]),
                              grid)
-        for mask in range(8):
-            assert np.allclose(game.value(mask), game2.value(mask), atol=1e-12)
+        assert np.allclose(game.values_for_masks(range(8)), game2.values_for_masks(range(8)),
+                           atol=1e-12)
 
 
 class TestConditionalGame:
@@ -137,18 +149,19 @@ class TestConditionalGame:
 
     def test_centering_exact(self):
         game, _, _ = self._game()
-        assert np.array_equal(game.value(0), np.zeros(5))
+        assert np.array_equal(game.values_for_masks([0])[0], np.zeros(5))
 
     def test_full_coalition(self):
         game, model, grid = self._game()
         pred = model.predict(X_STAR[None, :], grid.points,
                              PredictionTarget.LOG_HAZARD)[0]
-        assert np.allclose(game.value(7), pred - game.baseline(), atol=1e-12)
+        assert np.allclose(game.values_for_masks([7])[0], pred - game.baseline(),
+                           atol=1e-12)
 
     def test_seed_determinism(self):
         g1, _, _ = self._game(seed=3)
         g2, _, _ = self._game(seed=3)
-        assert np.array_equal(g1.value(0b101), g2.value(0b101))
+        assert np.array_equal(g1.values_for_masks([0b101]), g2.values_for_masks([0b101]))
 
 
 class TestBatchedRows:
@@ -207,16 +220,17 @@ class TestValueTable:
     def test_complete_table_shape_and_bounds(self):
         game, model, bg, grid = _marginal_game()
         table = evaluate_all_coalitions(game)
-        assert table.values.shape == (8, len(grid))
-        assert np.array_equal(table.lookup(0), np.zeros(len(grid)))
+        assert table.shape == (8, len(grid))
+        assert not table.flags.writeable
+        assert np.array_equal(table[0], np.zeros(len(grid)))
         pred = model.predict(X_STAR[None, :], grid.points,
                              PredictionTarget.LOG_HAZARD)[0]
-        assert np.allclose(table.lookup(7), pred - game.baseline(), atol=1e-13)
+        assert np.allclose(table[7], pred - game.baseline(), atol=1e-13)
 
     def test_log_hazard_table_time_invariant_for_ph_scenario(self):
         game, _, _, _ = _marginal_game(scenario=1)
         table = evaluate_all_coalitions(game)
-        spread = np.max(table.values, axis=1) - np.min(table.values, axis=1)
+        spread = np.max(table, axis=1) - np.min(table, axis=1)
         assert np.all(spread <= 1e-12)
 
     def test_memory_guard(self, monkeypatch):
@@ -224,12 +238,3 @@ class TestValueTable:
         monkeypatch.setattr(games, "_TABLE_BYTE_BUDGET", 16)
         with pytest.raises(MemoryError):
             evaluate_all_coalitions(game)
-
-    def test_dump_csv(self, tmp_path):
-        game, _, _, _ = _marginal_game(n_points=2)
-        table = evaluate_all_coalitions(game)
-        path = tmp_path / "table.csv"
-        table.dump_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,coalition,value"
-        assert len(lines) == 1 + 2 * 8

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import discrete_derivative, exact_sii
 from survix.core import PredictionTarget, build_time_grid
-from survix.games import MarginalEmpiricalImputer, SurvivalGame, ValueTable
+from survix.games import MarginalEmpiricalImputer
 from survix.interactions import (
     ApproximatorConfig,
     aggregate_ksii,
-    discrete_derivative,
     exact_ksii,
-    exact_sii,
     explain,
     moebius_transform,
     reconstruct_from_moebius,
@@ -22,10 +21,8 @@ X_STAR = np.array([-1.2650, 2.4162, -0.6436])
 
 
 def table_from_values(p, values):
-    """Single-timepoint table from a mask -> value mapping."""
-    grid = build_time_grid(1.0, 1)
-    arr = np.array([[float(values[m])] for m in range(1 << p)])
-    return ValueTable(p=p, grid=grid, values=arr)
+    """Single-timepoint (2^p, 1) table from a mask -> value mapping."""
+    return np.array([[float(values[m])] for m in range(1 << p)])
 
 
 def two_player_game():
@@ -41,36 +38,33 @@ def additive_table(p, coeffs, rng=None):
 
 
 def random_table(p, seed, T=3):
-    rng = np.random.default_rng(seed)
-    grid = build_time_grid(float(T), T)
-    vals = rng.standard_normal((1 << p, T))
+    vals = np.random.default_rng(seed).standard_normal((1 << p, T))
     vals[0] = 0.0
-    return ValueTable(p=p, grid=grid, values=vals)
+    return vals
 
 
 def moebius_oracle(table):
     """Naive O(4^p) inclusion-exclusion, independent of the fast transform."""
-    p = table.p
     out = {}
-    for S in range(1 << p):
-        acc = np.zeros(len(table.grid))
-        for L in range(1 << p):
+    for S in range(table.shape[0]):
+        acc = np.zeros(table.shape[1])
+        for L in range(table.shape[0]):
             if L & ~S:
                 continue
             sign = (-1) ** (bin(S).count("1") - bin(L).count("1"))
-            acc = acc + sign * table.lookup(L)
+            acc = acc + sign * table[L]
         out[S] = acc
     return out
 
 
 def shapley_permutation_oracle(table):
-    p = table.p
-    out = {1 << j: np.zeros(len(table.grid)) for j in range(p)}
+    p = table.shape[0].bit_length() - 1
+    out = {1 << j: np.zeros(table.shape[1]) for j in range(p)}
     perms = list(itertools.permutations(range(p)))
     for perm in perms:
         mask = 0
         for j in perm:
-            out[1 << j] += table.lookup(mask | (1 << j)) - table.lookup(mask)
+            out[1 << j] += table[mask | (1 << j)] - table[mask]
             mask |= 1 << j
     return {m: v / len(perms) for m, v in out.items()}
 
@@ -98,15 +92,16 @@ class TestMoebius:
     def test_reconstruction_identity(self):
         table = random_table(5, seed=11)
         recon = reconstruct_from_moebius(moebius_transform(table))
-        assert np.allclose(recon, table.values, atol=1e-10)
+        assert np.allclose(recon, table, atol=1e-10)
 
     def test_incomplete_table_rejected(self):
-        # a table is dense over all 2^p masks: fewer rows cannot be built
-        grid = build_time_grid(1.0, 1)
-        with pytest.raises(ValueError, match=r"\(2\^p, T\) = \(4, 1\)"):
-            ValueTable(p=2, grid=grid, values=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            ValueTable(p=2, grid=grid, values=np.zeros((4, 2)))
+        # a table is dense over all 2^p masks, p >= 1, one curve per mask
+        for bad in (np.zeros((3, 1)), np.zeros((6, 2)), np.zeros((1, 1)),
+                    np.zeros(4), np.zeros((1, 4, 1))):
+            for transform in (moebius_transform, reconstruct_from_moebius,
+                              lambda v: exact_ksii(v, 1)):
+                with pytest.raises(ValueError, match=r"\(2\^p, T\) array with p >= 1"):
+                    transform(bad)
 
 
 class TestDiscreteDerivative:
@@ -118,7 +113,7 @@ class TestDiscreteDerivative:
         assert d[0] == pytest.approx(4.0 - 2.0)
 
     def test_pair_on_two_player_game(self):
-        assert discrete_derivative(two_player_game(), 0b11, 0b00, t=1.0) == \
+        assert discrete_derivative(two_player_game(), 0b11, 0b00)[0] == \
             pytest.approx(1.0)
 
     def test_additive_game_pairs_vanish(self):
@@ -178,7 +173,7 @@ class TestAggregation:
 
     def test_efficiency_at_every_order(self):
         table = random_table(5, seed=15)
-        full = table.lookup((1 << 5) - 1)
+        full = table[(1 << 5) - 1]
         for k in range(1, 6):
             agg = exact_ksii(table, k)
             assert np.allclose(sum(agg.values()), full, atol=1e-10)
@@ -220,7 +215,7 @@ class TestAggregation:
         t1 = random_table(4, seed=19)
         t2 = random_table(4, seed=20)
         a, b = 2.5, -0.75
-        combo = ValueTable(p=4, grid=t1.grid, values=a * t1.values + b * t2.values)
+        combo = a * t1 + b * t2
         k1 = exact_ksii(t1, 2)
         k2 = exact_ksii(t2, 2)
         kc = exact_ksii(combo, 2)

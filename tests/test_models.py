@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from oracles import (
+    QUAD_ABS_TOL,
+    coxph_survival,
+    cumulative_hazard,
+    eval_risk_score,
+    eval_target,
+)
 from survix import models
 from survix.core import PredictionTarget, SurvivalDataset
 from survix.models import (
-    QUAD_ABS_TOL,
     ConvergenceError,
     CoxModel,
     GroundTruthModel,
     RiskScoreSpec,
     RiskTerm,
-    coxph_survival,
-    cumulative_hazard,
-    eval_risk_score,
-    eval_target,
     fit_coxph,
     model_from_json,
     model_to_json,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cumulative_hazard, simulate_event_time
 from survix.core import SurvivalDataset
-from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm, cumulative_hazard
+from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import (
     _TIME_CAP,
     FeatureSampler,
@@ -14,7 +15,6 @@ from survix.simulate import (
     ground_truth_partition,
     sample_features,
     simulate_dataset,
-    simulate_event_time,
     simulate_event_times,
 )
 
