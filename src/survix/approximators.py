@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import coalition_iter, mask_size
 from .games import SurvivalGame, evaluate_all_coalitions
-from .interactions import _submasks, aggregate_ksii, exact_ksii
+from .interactions import _check_order, _submasks, aggregate_ksii, exact_ksii
 
 RIDGE = 1e-8
 _COND_LIMIT = 1e8
@@ -43,6 +43,7 @@ def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     budget of at least 2*(k+1); at full enumeration every method is exact.
     """
     runner = estimators()[method]
+    _check_order(k, game.p)
     if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
         raise ValueError("regression needs budget >= 2*(order+1)")
     return runner(game, k, budget, seed)

@@ -188,12 +188,16 @@ def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray],
     return _superset_plan(np.arange(1 << p, dtype=np.int64)[::-1], weights)
 
 
+def _check_order(k: int, p: int) -> None:
+    if not 1 <= k <= p:
+        raise ValueError(f"order must lie in 1..{p}")
+
+
 def _ksii_block(V: np.ndarray, k: int) -> np.ndarray:
     """(N, n_targets, T) order-k attribution curves of a (N, 2^p, T) value
     tensor, targets in ``coalition_iter`` order without the empty set."""
     p = V.shape[1].bit_length() - 1
-    if not 1 <= k <= p:
-        raise ValueError(f"order must lie in 1..{p}")
+    _check_order(k, p)
     mo = _zeta_pass(V.copy(), np.subtract)
     plan = _redistribution(p, k)
     out = np.empty((V.shape[0], len(plan), V.shape[2]))
@@ -256,6 +260,7 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
     exact = isinstance(method, str) and method == "exact"
     if not exact and not isinstance(method, ApproximatorConfig):
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
+    _check_order(order, p)
     baseline = reference_mean(predict, imputer, grid)
 
     def explanation(ksii, info):

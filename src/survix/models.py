@@ -7,8 +7,12 @@ transforms of a feature subset, and an optional time factor. The time
 vocabulary is closed ('constant' or 'log1p'), so the risk score is
 G(t|x) = c0(x) + c1(x) * log1p(t) and every scale, survival included,
 evaluates in closed form: the cumulative hazard is
-lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. Each batch prediction
-allocates one (m, T) array and computes in place into it; there is one
+lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. The loads (c0, c1) are
+accumulated term by term from contiguous copies of the used feature columns.
+A time-independent model (c1 = 0) has one log-hazard and one hazard per row,
+log(lam) + c0 and lam * e^c0, computed on the rows and broadcast over the
+grid; time-dependent log-hazards and hazards take the term-matrix product.
+Every scale checks that the times are finite and >= 0. There is one
 implementation of each scale, the batch one, also for a single row or time.
 """
 
@@ -74,11 +78,13 @@ class RiskTerm:
     def time_dependent(self) -> bool:
         return self.time != "constant"
 
-    def feature_product(self, X: np.ndarray) -> np.ndarray:
-        """Product of transformed feature columns for each row of X."""
-        out = np.full(X.shape[0], self.beta)
-        for j, tag in zip(self.features, self.transforms):
-            out = out * _transform_fn(tag)(X[:, j])
+    def feature_product(self, columns) -> np.ndarray:
+        """beta times the product of the transformed feature columns, per
+        row; ``columns`` maps each feature index to its column."""
+        (j0, *rest), (tag0, *tags) = self.features, self.transforms
+        out = self.beta * _transform_fn(tag0)(columns[j0])
+        for j, tag in zip(rest, tags):
+            out *= _transform_fn(tag)(columns[j])
         return out
 
     def time_factor(self, times: np.ndarray) -> np.ndarray:
@@ -106,14 +112,22 @@ class RiskScoreSpec:
     def time_independent(self) -> bool:
         return all(not t.time_dependent for t in self.terms)
 
-    def term_products(self, X: np.ndarray) -> np.ndarray:
-        """(m, n_terms) matrix of coefficient-scaled feature products."""
+    def _columns(self, X: np.ndarray) -> Tuple[int, dict]:
+        """Row count of X and a contiguous copy of each feature column some
+        term uses, by feature index."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
-        if not self.terms:
-            return np.zeros((X.shape[0], 0))
-        return np.column_stack([t.feature_product(X) for t in self.terms])
+        used = sorted({j for t in self.terms for j in t.features})
+        return X.shape[0], {j: np.ascontiguousarray(X[:, j]) for j in used}
+
+    def term_products(self, X: np.ndarray) -> np.ndarray:
+        """(m, n_terms) matrix of coefficient-scaled feature products."""
+        m, columns = self._columns(X)
+        out = np.empty((m, len(self.terms)))
+        for i, term in enumerate(self.terms):
+            out[:, i] = term.feature_product(columns)
+        return out
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """(n_terms, T) matrix of per-term time factors."""
@@ -144,19 +158,40 @@ class GroundTruthModel:
 
     def loads(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row loads (c0, c1) of G(t|x) = c0(x) + c1(x) * log1p(t): the
-        summed time-constant and the summed log1p-time term products."""
-        C = self.risk.term_products(X)
-        td = np.array([t.time_dependent for t in self.risk.terms], dtype=bool)
-        return C[:, ~td].sum(axis=1), C[:, td].sum(axis=1)
+        time-constant and the log1p-time term products, each summed in term
+        order."""
+        m, columns = self.risk._columns(X)
+        sums = [None, None]
+        for term in self.risk.terms:
+            product = term.feature_product(columns)
+            k = int(term.time_dependent)
+            if sums[k] is None:
+                sums[k] = product
+            else:
+                sums[k] += product
+        c0, c1 = (np.zeros(m) if s is None else s for s in sums)
+        return c0, c1
 
     # -- batch evaluation ---------------------------------------------------
 
     def log_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        times = _checked_times(times)
+        if self.time_independent:
+            c0, _ = self.loads(X)
+            c0 += math.log(self.lam)
+            return _broadcast_rows(c0, times.size)
         out = self.risk.term_products(X) @ self.risk.time_factors(times)
         out += math.log(self.lam)
+        _check_finite(out)
         return out
 
     def hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        times = _checked_times(times)
+        if self.time_independent:
+            c0, _ = self.loads(X)
+            np.exp(c0, out=c0)
+            c0 *= self.lam
+            return _broadcast_rows(c0, times.size)
         out = self.risk.term_products(X) @ self.risk.time_factors(times)
         np.exp(out, out=out)
         out *= self.lam
@@ -170,12 +205,19 @@ class GroundTruthModel:
         a = 0 limit is lam * e^c0 * log1p(t); lam * e^c0 * t when no term
         depends on time.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0):
-            raise ValueError("times must be >= 0")
+        return self._signed_cumulative_hazard(X, times, 1.0)
+
+    def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = self._signed_cumulative_hazard(X, times, -1.0)
+        np.exp(out, out=out)
+        return out
+
+    def _signed_cumulative_hazard(self, X, times, sign: float) -> np.ndarray:
+        """sign times the cumulative hazard; the sign rides on the per-row
+        scale, and negating a factor of a product is exact."""
+        times = _checked_times(times)
         c0, c1 = self.loads(X)
-        scale = self.lam * np.exp(c0)
+        scale = (sign * self.lam) * np.exp(c0)
         if self.time_independent:
             out = np.multiply.outer(scale, times)
         else:
@@ -190,19 +232,11 @@ class GroundTruthModel:
         _check_finite(out)
         return out
 
-    def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = self.cumulative_hazard_matrix(X, times)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        return out
-
     def predict(self, X: np.ndarray, times: np.ndarray,
                 target: PredictionTarget) -> np.ndarray:
         """(m, T) prediction matrix on the requested scale."""
         if target is PredictionTarget.LOG_HAZARD:
-            out = self.log_hazard_matrix(X, times)
-            _check_finite(out)
-            return out
+            return self.log_hazard_matrix(X, times)
         if target is PredictionTarget.HAZARD:
             return self.hazard_matrix(X, times)
         if target is PredictionTarget.SURVIVAL:
@@ -212,6 +246,19 @@ class GroundTruthModel:
     def prediction_function(self, target: PredictionTarget):
         """Batch callable (X, times) -> (m, T) for use in value functions."""
         return lambda X, times: self.predict(X, times, target)
+
+
+def _checked_times(times) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and >= 0")
+    return times
+
+
+def _broadcast_rows(values: np.ndarray, T: int) -> np.ndarray:
+    """(m, T) C-ordered array repeating each row's finite value T times."""
+    _check_finite(values)
+    return np.repeat(values, T).reshape(values.size, T)
 
 
 def _check_finite(values: np.ndarray) -> None:

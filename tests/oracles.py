@@ -1,11 +1,12 @@
 """Scalar and long-double references the tests check the library against.
 
 None of these is on a library path: each is a slower, independent way to
-compute one quantity that ``survix`` computes in batch (adaptive quadrature
-for the closed-form cumulative hazard, one-point model and Cox evaluations,
-one event-time draw, and the discrete-derivative form of the Shapley
-interaction index). Value tables are the library's plain (2^p, T) arrays,
-whose row index is the coalition mask.
+compute one quantity that ``survix`` computes in batch (the term-matrix
+predictor of a ground-truth model, adaptive quadrature for the closed-form
+cumulative hazard, one-point model and Cox evaluations, one event-time draw,
+the term-local Moebius coefficients of a log-hazard game, and the
+discrete-derivative form of the Shapley interaction index). Value tables are
+the library's plain (2^p, T) arrays, whose row index is the coalition mask.
 """
 
 import math
@@ -16,10 +17,90 @@ from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, mask_size
 from survix.interactions import _submasks
-from survix.models import CoxModel, GroundTruthModel, RiskScoreSpec
+from survix.models import CoxModel, GroundTruthModel, RiskScoreSpec, _transform_fn
 from survix.simulate import simulate_event_times
 
 QUAD_ABS_TOL = 1e-10
+
+
+def term_products(risk: RiskScoreSpec, X: np.ndarray) -> np.ndarray:
+    """(m, n_terms) matrix of coefficient-scaled feature products: each
+    column starts from a row of betas and multiplies in one transformed
+    feature column at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != risk.p:
+        raise ValueError(f"expected {risk.p} features, got {X.shape[1]}")
+    if not risk.terms:
+        return np.zeros((X.shape[0], 0))
+    columns = []
+    for term in risk.terms:
+        out = np.full(X.shape[0], term.beta)
+        for j, tag in zip(term.features, term.transforms):
+            out = out * _transform_fn(tag)(X[:, j])
+        columns.append(out)
+    return np.column_stack(columns)
+
+
+def time_factors(risk: RiskScoreSpec, times) -> np.ndarray:
+    """(n_terms, T) matrix of per-term time factors."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not risk.terms:
+        return np.zeros((0, times.size))
+    return np.vstack([np.log1p(times) if t.time_dependent else np.ones_like(times)
+                      for t in risk.terms])
+
+
+def loads(model: GroundTruthModel, X: np.ndarray):
+    """Loads (c0, c1) as numpy row sums of the term matrix's time-constant
+    and log1p-time columns."""
+    C = term_products(model.risk, X)
+    td = np.array([t.time_dependent for t in model.risk.terms], dtype=bool)
+    return C[:, ~td].sum(axis=1), C[:, td].sum(axis=1)
+
+
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("non-finite model prediction (overflow in exp)")
+    return values
+
+
+def term_matrix_predict(model: GroundTruthModel, X: np.ndarray, times,
+                        target: PredictionTarget) -> np.ndarray:
+    """(m, T) predictions cell by cell: the log-hazard and hazard through
+    the term-matrix product with the time factors, survival through the
+    closed-form cumulative hazard of the row-sum loads, negated as a whole
+    array before its exponential."""
+    if target is PredictionTarget.LOG_HAZARD:
+        out = term_products(model.risk, X) @ time_factors(model.risk, times)
+        out += math.log(model.lam)
+        return _check_finite(out)
+    if target is PredictionTarget.HAZARD:
+        out = term_products(model.risk, X) @ time_factors(model.risk, times)
+        np.exp(out, out=out)
+        out *= model.lam
+        return _check_finite(out)
+    if target is not PredictionTarget.SURVIVAL:
+        raise ValueError(f"unknown target {target!r}")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValueError("times must be >= 0")
+    c0, c1 = loads(model, X)
+    scale = model.lam * np.exp(c0)
+    if model.time_independent:
+        out = np.multiply.outer(scale, times)
+    else:
+        v = np.log1p(times)
+        a = c1 + 1.0
+        flat = a == 0.0
+        a[flat] = 1.0
+        out = np.multiply.outer(a, v)
+        np.expm1(out, out=out)
+        out[flat] = v
+        out *= (scale / a)[:, None]
+    _check_finite(out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    return out
 
 
 def eval_risk_score(risk: RiskScoreSpec, x: np.ndarray, t: float) -> float:
@@ -29,8 +110,8 @@ def eval_risk_score(risk: RiskScoreSpec, x: np.ndarray, t: float) -> float:
         raise ValueError(f"expected a vector of length {risk.p}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    products = risk.term_products(x[None, :])[0]
-    factors = risk.time_factors([t])[:, 0]
+    products = term_products(risk, x[None, :])[0]
+    factors = time_factors(risk, [t])[:, 0]
     return float(products @ factors)
 
 
@@ -58,10 +139,10 @@ def cumulative_hazard(model: GroundTruthModel, x: np.ndarray, t: float) -> float
         return 0.0
     if model.time_independent:
         return float(model.lam * t * _exp_checked(eval_risk_score(model.risk, x, 0.0)))
-    products = model.risk.term_products(x[None, :])[0]
+    products = term_products(model.risk, x[None, :])[0]
 
     def integrand(u):
-        factors = model.risk.time_factors(np.atleast_1d(u))
+        factors = time_factors(model.risk, np.atleast_1d(u))
         return model.lam * np.exp(products @ factors)
 
     value, abserr = integrate.quad(
@@ -102,6 +183,39 @@ def coxph_survival(model: CoxModel, x: np.ndarray, t: float) -> float:
 def simulate_event_time(model: GroundTruthModel, x: np.ndarray, u: float) -> float:
     """Single event-time draw (see simulate_event_times)."""
     return float(simulate_event_times(model, np.asarray(x)[None, :], [u])[0])
+
+
+def term_local_moebius(model: GroundTruthModel, x: np.ndarray, background: np.ndarray,
+                       times) -> np.ndarray:
+    """(2^p, T) Moebius coefficients of the centered log-hazard game of x
+    under the marginal imputer over ``background``, term by term, without
+    predicting a coalition.
+
+    Under that imputer v(S) = sum_tau v_tau(S & F_tau) minus a constant,
+    where term tau with features F_tau has
+    v_tau(A) = beta * time(t) * mean_r prod_j g_j(x_j if j in A else z_rj).
+    So a term's coefficients vanish off the subsets of F_tau, where they are
+    the alternating sums of v_tau; the empty coalition's is 0. The cost is
+    sum_tau 2^|F_tau| reference means.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.zeros((1 << model.p, times.size))
+    for term in model.risk.terms:
+        k = len(term.features)
+        means = np.empty(1 << k)
+        for a in range(1 << k):
+            product = np.full(len(background), term.beta)
+            for i, (j, tag) in enumerate(zip(term.features, term.transforms)):
+                z = np.full(len(background), x[j]) if a >> i & 1 else background[:, j]
+                product = product * _transform_fn(tag)(z)
+            means[a] = product.mean()
+        factor = np.log1p(times) if term.time_dependent else np.ones_like(times)
+        for a in range(1, 1 << k):
+            coeff = sum((-1.0) ** (mask_size(a) - mask_size(b)) * means[b]
+                        for b in range(1 << k) if b & a == b)
+            mask = sum(1 << j for i, j in enumerate(term.features) if a >> i & 1)
+            out[mask] += coeff * factor
+    return out
 
 
 def discrete_derivative(values: np.ndarray, K: int, M: int) -> np.ndarray:

@@ -1,12 +1,21 @@
 """Edge inputs through ``explain``: one feature, one timepoint, one
-reference row, a bounded cumulative hazard and a near-singular conditional
-covariance either work or fail with a clear error."""
+reference row, a bounded cumulative hazard, a near-singular conditional
+covariance and an order outside 1..p either work or fail with a clear
+error."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survix
+from survix.approximators import estimate
 from survix.core import PredictionTarget, build_time_grid
-from survix.games import ConditionalGaussianImputer, MarginalEmpiricalImputer
+from survix.games import (ConditionalGaussianImputer, MarginalEmpiricalImputer,
+                          SurvivalGame)
 from survix.interactions import ApproximatorConfig, explain
 from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import build_scenario
@@ -100,3 +109,56 @@ def test_near_singular_conditional_covariance(target, gap):
     assert all(np.all(np.isfinite(c)) for c in expl.values.values())
     bound = EFFICIENCY_ULPS * EPS * max(1.0, expl.info["table_scale"])
     assert np.max(np.abs(expl.attribution_sum() - prediction)) <= bound
+
+
+ORDER_MESSAGE = r"order must lie in 1\.\.4"
+BAD_ORDERS = (0, -1, 5)
+
+
+@pytest.mark.parametrize("method", ["exact", "mc", "regression"])
+@pytest.mark.parametrize("order", BAD_ORDERS)
+def test_order_outside_one_to_p_is_rejected(method, order):
+    predict, x, imputer, grid = additive_case(4, 3, 5)
+    config = method if method == "exact" else ApproximatorConfig(method, 12, seed=1)
+    with pytest.raises(ValueError, match=ORDER_MESSAGE):
+        explain(predict, x, imputer, grid, order, TARGET, method=config)
+    if method != "exact":
+        game = SurvivalGame(predict, x, imputer, grid)
+        with pytest.raises(ValueError, match=ORDER_MESSAGE):
+            estimate(game, order, method, 12, 1)
+
+
+# the permutation estimator draws no windows below order 1, and its budget
+# loop then never ends; a subprocess with a timeout turns a hang into a failure
+_PERMUTATION_ORDERS = """
+import re, sys
+sys.path.insert(0, {tests!r})
+from test_edge_inputs import BAD_ORDERS, ORDER_MESSAGE, TARGET, additive_case
+from survix.approximators import estimate
+from survix.games import SurvivalGame
+from survix.interactions import ApproximatorConfig, explain
+predict, x, imputer, grid = additive_case(4, 3, 5)
+for order in BAD_ORDERS:
+    for run in (lambda: explain(predict, x, imputer, grid, order, TARGET,
+                                method=ApproximatorConfig("permutation", 12, seed=1)),
+                lambda: estimate(SurvivalGame(predict, x, imputer, grid),
+                                 order, "permutation", 12, 1)):
+        try:
+            run()
+        except ValueError as exc:
+            assert re.fullmatch(ORDER_MESSAGE, str(exc)), exc
+        else:
+            raise AssertionError(f"order {{order}} was accepted")
+print("rejected")
+"""
+
+
+def test_permutation_order_outside_one_to_p_is_rejected_without_hanging():
+    src = str(Path(survix.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = _PERMUTATION_ORDERS.format(tests=str(Path(__file__).parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"

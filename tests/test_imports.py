@@ -1,5 +1,6 @@
-"""Every module-level import of a survix module is used in that module, and
-importing the package loads no heavy scipy submodule."""
+"""Every module-level import of a survix module, and of the test oracles, is
+used in that module, and importing the package loads no heavy scipy
+submodule."""
 
 import ast
 import os
@@ -12,7 +13,7 @@ import pytest
 import survix
 
 MODULES = sorted(p for p in Path(survix.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") + [Path(__file__).parent / "oracles.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

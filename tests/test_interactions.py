@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import discrete_derivative, exact_sii
-from survix.core import PredictionTarget, build_time_grid
-from survix.games import MarginalEmpiricalImputer
+from oracles import discrete_derivative, exact_sii, term_local_moebius
+from survix.core import PredictionTarget, build_time_grid, mask_size
+from survix.games import MarginalEmpiricalImputer, SurvivalGame, evaluate_all_coalitions
 from survix.interactions import (
     ApproximatorConfig,
     aggregate_ksii,
@@ -15,7 +15,9 @@ from survix.interactions import (
     reconstruct_from_moebius,
 )
 from survix.metrics import classify_time_dependence
-from survix.simulate import build_scenario, sample_features, FeatureSampler
+from survix.models import _transform_fn
+from survix.simulate import T_MAX, build_scenario, sample_features, FeatureSampler
+from survix.validation import benchmark_model
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
 
@@ -102,6 +104,34 @@ class TestMoebius:
                               lambda v: exact_ksii(v, 1)):
                 with pytest.raises(ValueError, match=r"\(2\^p, T\) array with p >= 1"):
                     transform(bad)
+
+
+class TestTermLocalOracle:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_wide_table_matches_per_term_alternating_sums(self, seed):
+        # p = 12: nine inert features, five supported coalitions of 4096
+        model = benchmark_model(12)
+        features = sample_features(FeatureSampler.standard(12, seed=seed), 101)
+        x, background = features[0], features[1:]
+        grid = build_time_grid(T_MAX, 11)
+        game = SurvivalGame(model.prediction_function(PredictionTarget.LOG_HAZARD),
+                            x, MarginalEmpiricalImputer(background), grid)
+        mo = moebius_transform(evaluate_all_coalitions(game))
+        oracle = term_local_moebius(model, x, background, grid.points)
+        support = np.flatnonzero(np.abs(oracle).max(axis=1) > 0)
+        assert sorted(support) == [0b1, 0b10, 0b11, 0b100, 0b101]
+        # no imputed row predicts beyond |log lam| plus each term's |beta|
+        # times its features' largest transformed magnitudes
+        largest = abs(np.log(model.lam)) + sum(
+            abs(t.beta) * np.prod([np.abs(_transform_fn(tag)(
+                np.append(background[:, j], x[j]))).max()
+                for j, tag in zip(t.features, t.transforms)])
+            for t in model.risk.terms)
+        # each value is a mean of 100 predictions, each within a few ulps,
+        # and a coefficient adds 2^|A| of them over |A| levels
+        sizes = np.array([mask_size(m) for m in range(1 << 12)])
+        bound = 2.0**sizes * (100 + sizes + 4) * np.finfo(float).eps * largest
+        assert np.all(np.abs(mo - oracle).max(axis=1) <= bound)
 
 
 class TestDiscreteDerivative:
