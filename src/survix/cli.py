@@ -206,21 +206,32 @@ def _validate_options(sub: str, opt: dict) -> None:
         if opt.get("t_max", 1.0) <= 0:
             bad("--t-max must be positive")
     if sub == "explain":
-        if opt["order"] < 1:
+        if opt.get("scenario") is None and opt.get("model_file") is None:
+            bad("one of --scenario or --model-file is required")
+        if opt.get("model_file") is not None and opt.get("data") is None:
+            bad("--model-file requires --data")
+        if opt.get("model_file") is None:
+            try:  # a config file's scenario has not been parsed
+                p = build_scenario(opt["scenario"]).p
+            except ValueError as exc:
+                bad(str(exc))
+            if not 1 <= opt["order"] <= p:
+                bad(f"--order must lie in 1..{p}")
+        elif opt["order"] < 1:
             bad("--order must be >= 1")
         if opt["timepoints"] < 1:
             bad("--timepoints must be >= 1")
         if opt["method"] != "exact" and opt["budget"] < 2:
             bad("--budget must be >= 2")
-        if opt.get("scenario") is None and opt.get("model_file") is None:
-            bad("one of --scenario or --model-file is required")
-        if opt.get("model_file") is not None and opt.get("data") is None:
-            bad("--model-file requires --data")
     if sub == "benchmark":
         if opt["reps"] < 1:
             bad("--reps must be >= 1")
+        if opt["p"] < 1:
+            bad("--p must be >= 1")
         if opt["p"] > 16:
             bad("the exact oracle restricts --p to at most 16")
+        if not 1 <= opt["order"] <= opt["p"]:
+            bad(f"--order must lie in 1..{opt['p']}")
         try:
             budgets = [int(tok) for tok in str(opt["budgets"]).split(",")]
         except ValueError:

@@ -12,7 +12,8 @@ accumulated term by term from contiguous copies of the used feature columns.
 A time-independent model (c1 = 0) has one log-hazard and one hazard per row,
 log(lam) + c0 and lam * e^c0, computed on the rows and broadcast over the
 grid; time-dependent log-hazards and hazards take the term-matrix product.
-Every scale checks that the times are finite and >= 0. There is one
+Every scale checks that the times are finite and >= 0, and a row that
+overflows raises FloatingPointError without numpy warnings. There is one
 implementation of each scale, the batch one, also for a single row or time.
 """
 
@@ -137,6 +138,14 @@ class RiskScoreSpec:
         return np.vstack([t.time_factor(times) for t in self.terms])
 
 
+# Decorates each scale method: an overflowing row ends in _check_finite's
+# FloatingPointError, so numpy's overflow and invalid-value warnings from the
+# loads and the scale's own ufuncs are silenced, and the error is the only
+# signal. No decorated method calls another: before numpy 2, one errstate
+# instance entered twice at once restores the wrong state.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class GroundTruthModel:
     """Constant baseline hazard lam times exp(risk score)."""
@@ -174,6 +183,7 @@ class GroundTruthModel:
 
     # -- batch evaluation ---------------------------------------------------
 
+    @_quiet_overflow
     def log_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
         times = _checked_times(times)
         if self.time_independent:
@@ -185,6 +195,7 @@ class GroundTruthModel:
         _check_finite(out)
         return out
 
+    @_quiet_overflow
     def hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
         times = _checked_times(times)
         if self.time_independent:
@@ -212,6 +223,7 @@ class GroundTruthModel:
         np.exp(out, out=out)
         return out
 
+    @_quiet_overflow
     def _signed_cumulative_hazard(self, X, times, sign: float) -> np.ndarray:
         """sign times the cumulative hazard; the sign rides on the per-row
         scale, and negating a factor of a product is exact."""
@@ -361,9 +373,12 @@ class CoxModel:
         return (X - self.mean) @ self.beta
 
     def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """exp(-e^eta * H0(t)), computed in one (m, T) buffer."""
         h0 = self.cumhaz_at(times)
         eta = self.linear_predictor(X)
-        return np.exp(-np.exp(eta)[:, None] * h0[None, :])
+        out = np.multiply.outer(-np.exp(eta), h0)
+        np.exp(out, out=out)
+        return out
 
     def prediction_function(self, target: PredictionTarget = PredictionTarget.SURVIVAL):
         if target is not PredictionTarget.SURVIVAL:

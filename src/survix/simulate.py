@@ -52,33 +52,40 @@ def _gam_terms(time_first: str = "constant") -> Tuple[RiskTerm, ...]:
     )
 
 
+def _inter13(transform: str = "identity", time: str = "constant") -> RiskTerm:
+    return RiskTerm((0, 2), B13, ("identity", transform), time)
+
+
+def _inter12() -> RiskTerm:
+    return RiskTerm((0, 1), B12, ("identity", "identity"))
+
+
+# scenario id -> builder of its risk terms
+_CATALOG = {
+    1: lambda: _linear_terms(),
+    2: lambda: _linear_terms("log1p"),
+    3: lambda: _linear_terms() + (_inter13(),),
+    4: lambda: _linear_terms("log1p") + (_inter13(),),
+    5: lambda: _linear_terms() + (_inter13(time="log1p"),),
+    6: lambda: _gam_terms(),
+    7: lambda: _gam_terms("log1p"),
+    8: lambda: _gam_terms() + (_inter12(), _inter13("square")),
+    9: lambda: _gam_terms("log1p") + (_inter12(), _inter13("square")),
+    10: lambda: _gam_terms() + (_inter12(), _inter13("square", "log1p")),
+    "dep_demo": lambda: (
+        RiskTerm((0,), 0.8, ("identity",), "log1p"),
+        RiskTerm((1,), -0.4, ("identity",)),
+    ),
+}
+
+
 def build_scenario(scenario) -> GroundTruthModel:
     """Ground-truth model for one of the catalogued scenarios (1..10 or
-    'dep_demo'); all use baseline hazard LAMBDA."""
-    inter13 = RiskTerm((0, 2), B13, ("identity", "identity"))
-    inter13_td = RiskTerm((0, 2), B13, ("identity", "identity"), "log1p")
-    inter12 = RiskTerm((0, 1), B12, ("identity", "identity"))
-    inter13sq = RiskTerm((0, 2), B13, ("identity", "square"))
-    inter13sq_td = RiskTerm((0, 2), B13, ("identity", "square"), "log1p")
-    catalog = {
-        1: _linear_terms(),
-        2: _linear_terms("log1p"),
-        3: _linear_terms() + (inter13,),
-        4: _linear_terms("log1p") + (inter13,),
-        5: _linear_terms() + (inter13_td,),
-        6: _gam_terms(),
-        7: _gam_terms("log1p"),
-        8: _gam_terms() + (inter12, inter13sq),
-        9: _gam_terms("log1p") + (inter12, inter13sq),
-        10: _gam_terms() + (inter12, inter13sq_td),
-        "dep_demo": (
-            RiskTerm((0,), 0.8, ("identity",), "log1p"),
-            RiskTerm((1,), -0.4, ("identity",)),
-        ),
-    }
-    if scenario not in catalog:
+    'dep_demo'); all use baseline hazard LAMBDA. Only the requested entry's
+    terms are built."""
+    if scenario not in _CATALOG:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return GroundTruthModel(lam=LAMBDA, risk=RiskScoreSpec(p=3, terms=catalog[scenario]))
+    return GroundTruthModel(lam=LAMBDA, risk=RiskScoreSpec(p=3, terms=_CATALOG[scenario]()))
 
 
 def ground_truth_partition(scenario) -> frozenset:

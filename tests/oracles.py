@@ -3,8 +3,9 @@
 None of these is on a library path: each is a slower, independent way to
 compute one quantity that ``survix`` computes in batch (the term-matrix
 predictor of a ground-truth model, adaptive quadrature for the closed-form
-cumulative hazard, one-point model and Cox evaluations, one event-time draw,
-the term-local Moebius coefficients of a log-hazard game, and the
+cumulative hazard, one-point model and Cox evaluations, the two-array Cox
+survival matrix, one event-time draw, the scenario catalogue with every entry
+built, the term-local Moebius coefficients of a log-hazard game, and the
 discrete-derivative form of the Shapley interaction index). Value tables are
 the library's plain (2^p, T) arrays, whose row index is the coalition mask.
 """
@@ -17,8 +18,23 @@ from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, mask_size
 from survix.interactions import _submasks
-from survix.models import CoxModel, GroundTruthModel, RiskScoreSpec, _transform_fn
-from survix.simulate import simulate_event_times
+from survix.models import (
+    CoxModel,
+    GroundTruthModel,
+    RiskScoreSpec,
+    RiskTerm,
+    _transform_fn,
+)
+from survix.simulate import (
+    ARCTAN,
+    B1,
+    B2,
+    B3,
+    B12,
+    B13,
+    LAMBDA,
+    simulate_event_times,
+)
 
 QUAD_ABS_TOL = 1e-10
 
@@ -178,6 +194,54 @@ def coxph_survival(model: CoxModel, x: np.ndarray, t: float) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     return float(model.survival_matrix(np.asarray(x)[None, :], [t])[0, 0])
+
+
+def coxph_survival_matrix(model: CoxModel, X: np.ndarray, times) -> np.ndarray:
+    """exp(-e^eta * H0(t)) through a broadcast product: two (m, T) arrays."""
+    h0 = model.cumhaz_at(times)
+    eta = model.linear_predictor(X)
+    return np.exp(-np.exp(eta)[:, None] * h0[None, :])
+
+
+def scenario_catalog() -> Dict[object, GroundTruthModel]:
+    """Every catalogued scenario, each built from its terms written out."""
+    def linear(time_first="constant"):
+        return (
+            RiskTerm((0,), B1, ("identity",), time_first),
+            RiskTerm((1,), B2, ("identity",)),
+            RiskTerm((2,), B3, ("identity",)),
+        )
+
+    def gam(time_first="constant"):
+        return (
+            RiskTerm((0,), B1, ("square",), time_first),
+            RiskTerm((1,), B2, (ARCTAN,)),
+            RiskTerm((2,), B3, ("identity",)),
+        )
+
+    inter13 = RiskTerm((0, 2), B13, ("identity", "identity"))
+    inter13_td = RiskTerm((0, 2), B13, ("identity", "identity"), "log1p")
+    inter12 = RiskTerm((0, 1), B12, ("identity", "identity"))
+    inter13sq = RiskTerm((0, 2), B13, ("identity", "square"))
+    inter13sq_td = RiskTerm((0, 2), B13, ("identity", "square"), "log1p")
+    terms = {
+        1: linear(),
+        2: linear("log1p"),
+        3: linear() + (inter13,),
+        4: linear("log1p") + (inter13,),
+        5: linear() + (inter13_td,),
+        6: gam(),
+        7: gam("log1p"),
+        8: gam() + (inter12, inter13sq),
+        9: gam("log1p") + (inter12, inter13sq),
+        10: gam() + (inter12, inter13sq_td),
+        "dep_demo": (
+            RiskTerm((0,), 0.8, ("identity",), "log1p"),
+            RiskTerm((1,), -0.4, ("identity",)),
+        ),
+    }
+    return {key: GroundTruthModel(lam=LAMBDA, risk=RiskScoreSpec(p=3, terms=value))
+            for key, value in terms.items()}
 
 
 def simulate_event_time(model: GroundTruthModel, x: np.ndarray, u: float) -> float:

@@ -101,6 +101,19 @@ class TestExplainCommand:
                     "--timepoints", 5, "--out", tmp_path])
         assert code == 0
 
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_order_outside_the_scenarios_p_is_usage_error(self, tmp_path, capsys,
+                                                          order):
+        code = run(["explain", "--scenario", 1, "--order", order, "--out", tmp_path])
+        assert code == 1
+        assert "--order must lie in 1..3" in capsys.readouterr().err
+
+    def test_unknown_scenario_from_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenario": 11}))
+        assert run(["explain", "--config", config, "--out", tmp_path]) == 1
+        assert "unknown scenario 11" in capsys.readouterr().err
+
     def test_missing_data_file_is_computation_error(self, tmp_path):
         code = run(["explain", "--scenario", 1, "--data",
                     tmp_path / "absent.csv", "--instance", 0,
@@ -150,6 +163,17 @@ class TestBenchmarkCommand:
         code = run(["benchmark", "--budgets", "64,5000", "--p", 10,
                     "--reps", 1, "--out", tmp_path])
         assert code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--order", 0], "--order must lie in 1..10"),
+        (["--order", 11], "--order must lie in 1..10"),
+        (["--p", 4, "--order", 5, "--budgets", 8], "--order must lie in 1..4"),
+        (["--p", 0], "--p must be >= 1"),
+    ])
+    def test_order_outside_one_to_p_is_usage_error(self, tmp_path, capsys, args,
+                                                    message):
+        assert run(["benchmark", "--reps", 1, *args, "--out", tmp_path]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["simulate", "explain", "validate", "benchmark"])
     def test_threads_is_a_benchmark_option(self, tmp_path, sub):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import coxph_survival_matrix
 from survix.core import (
     InteractionExplanation,
     PredictionTarget,
@@ -170,6 +171,19 @@ def _cohorts(draw):
     return data, risk, surv, grid
 
 
+def _tied_cohort(n, seed, time_levels=60, risk_levels=20, n_points=6):
+    """A fixed cohort of n rows whose times and risks take few levels (many
+    ties), with about 40% censoring; shaped like a _cohorts() draw."""
+    rng = np.random.default_rng(seed)
+    times = rng.integers(0, time_levels + 1, size=n).astype(float)
+    events = (rng.uniform(size=n) < 0.6).astype(int)
+    events[0] = 1
+    data = SurvivalDataset(np.zeros((n, 1)), times, events)
+    risk = 0.37 * rng.integers(-risk_levels, risk_levels + 1, size=n)
+    grid = build_time_grid(0.8 * time_levels, n_points)
+    return data, risk, rng.uniform(size=(n, n_points)), grid
+
+
 @pytest.fixture(scope="module")
 def scenario_fits():
     """Cox fits on all ten scenarios at n = 2000 with their grids."""
@@ -196,11 +210,22 @@ class TestMetricsEqualOracles:
             oracle_t, oracle_v = _censoring_km_oracle(data)
             assert np.array_equal(km_t, oracle_t) and np.array_equal(km_v, oracle_v)
             surv = cox.survival_matrix(data.features, grid.points)
+            assert np.array_equal(surv, coxph_survival_matrix(cox, data.features,
+                                                              grid.points))
             assert integrated_brier(surv, data, grid) == \
                 _integrated_brier_oracle(surv, data, grid)
 
     @settings(max_examples=200)
     @given(_cohorts())
+    # every edge of the C-index's 32-row blocks, and one row per IBS block of
+    # grid rows with many tied times and risks
+    @example(_tied_cohort(1, seed=1))
+    @example(_tied_cohort(31, seed=2, time_levels=10_000))
+    @example(_tied_cohort(32, seed=3, time_levels=10_000))
+    @example(_tied_cohort(33, seed=4))
+    @example(_tied_cohort(64, seed=5, time_levels=10_000))
+    @example(_tied_cohort(65, seed=6))
+    @example(_tied_cohort(5000, seed=7, n_points=41))
     def test_small_cohorts(self, cohort):
         data, risk, surv, grid = cohort
         assert _outcome(concordance_index, risk, data) == \
@@ -297,6 +322,18 @@ class TestIntegratedBrier:
         km_t, km_v = censoring_km(data)
         assert km_t.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert np.allclose(km_v, [1.0, 2 / 3, 1 / 3, 1 / 3])
+
+    def test_non_finite_or_out_of_range_survival_rejected(self):
+        # the censored row's cells were ignored, and a NaN elsewhere gave nan
+        data = SurvivalDataset(np.zeros((3, 1)), np.array([1.0, 2.0, 5.0]),
+                               np.array([1, 0, 1]))
+        grid = build_time_grid(4.0, 4)
+        for row, value in ((1, np.nan), (0, np.nan), (2, np.inf), (0, -np.inf),
+                           (2, 1.5), (1, -1e-300)):
+            surv = np.full((3, 4), 0.5)
+            surv[row, 3] = value
+            with pytest.raises(ValueError, match="finite and lie in"):
+                integrated_brier(surv, data, grid)
 
     def test_grid_must_end_before_last_time(self):
         data = SurvivalDataset(np.zeros((2, 1)), np.array([1.0, 5.0]),

@@ -10,6 +10,7 @@ of summation instead.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,13 +131,23 @@ def test_overflowing_row_raises_on_the_per_row_path():
     model = GroundTruthModel(1.0, RiskScoreSpec(2, (RiskTerm((0,), 500.0),)))
     assert model.time_independent
     X = np.array([[0.1, 0.0], [5.0, 0.0], [-0.2, 1.0]])
-    for target in (PredictionTarget.HAZARD, PredictionTarget.SURVIVAL):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the FloatingPointError is the only signal
+        for target in (PredictionTarget.HAZARD, PredictionTarget.SURVIVAL):
+            with pytest.raises(FloatingPointError, match="overflow in exp"):
+                model.predict(X, TIMES, target)
+            model.predict(X[[0, 2]], TIMES, target)  # the finite rows alone pass
         with pytest.raises(FloatingPointError, match="overflow in exp"):
-            model.predict(X, TIMES, target)
-        model.predict(X[[0, 2]], TIMES, target)  # the finite rows alone pass
-    huge = GroundTruthModel(1.0, RiskScoreSpec(2, (RiskTerm((0,), 1e308),)))
-    with pytest.raises(FloatingPointError):
-        huge.predict(X, TIMES, PredictionTarget.LOG_HAZARD)
+            model.cumulative_hazard_matrix(X, TIMES)
+        varying = GroundTruthModel(1.0, RiskScoreSpec(2, (
+            RiskTerm((0,), 500.0, time="log1p"),)))
+        for target in (PredictionTarget.HAZARD, PredictionTarget.SURVIVAL):
+            with pytest.raises(FloatingPointError, match="overflow in exp"):
+                varying.predict(X, TIMES, target)
+        huge = GroundTruthModel(1.0, RiskScoreSpec(2, (RiskTerm((0,), 1e308),)))
+        for target in PredictionTarget:
+            with pytest.raises(FloatingPointError):
+                huge.predict(X, TIMES, target)
 
 
 @pytest.mark.parametrize("scenario", [1, 10])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cumulative_hazard, simulate_event_time
+from oracles import cumulative_hazard, scenario_catalog, simulate_event_time
 from survix.core import SurvivalDataset
 from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import (
     _TIME_CAP,
+    SCENARIO_IDS,
     FeatureSampler,
     apply_censoring,
     build_scenario,
@@ -56,6 +57,12 @@ class TestScenarioCatalog:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             build_scenario(11)
+
+    def test_each_entry_equals_the_fully_built_catalogue(self):
+        catalog = scenario_catalog()
+        assert set(catalog) == set(SCENARIO_IDS)
+        for scenario in SCENARIO_IDS:
+            assert build_scenario(scenario) == catalog[scenario]
 
 
 class TestFeatureSampling:
