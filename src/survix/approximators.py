@@ -10,6 +10,11 @@ Each estimator plans, then evaluates. What the designs draw never depends on
 the values, so the sampling loop draws and budgets coalitions first; then one
 ``SurvivalGame.values_for_masks`` call fetches them all, and Monte Carlo and
 permutation take every sampled (K, M) discrete derivative together.
+
+An estimator works at the width of the values it fetches. ``estimate`` runs
+it on a time-constant game's one-column values (see ``games``) and repeats
+the estimated curves over the grid once; called directly, an estimator sees
+the game's T columns.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from .core import coalition_iter, mask_size
-from .games import SurvivalGame, evaluate_all_coalitions
+from .games import SurvivalGame, _widen, evaluate_all_coalitions
 from .interactions import _check_order, _submasks, aggregate_ksii, exact_ksii
 
 RIDGE = 1e-8
@@ -46,7 +51,12 @@ def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     _check_order(k, game.p)
     if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
         raise ValueError("regression needs budget >= 2*(order+1)")
-    return runner(game, k, budget, seed)
+    narrow = game._at_evaluation_width()
+    ksii, info = runner(narrow, k, budget, seed)
+    if narrow is not game:
+        curves = _widen(np.array(list(ksii.values())), len(game.grid))
+        ksii = dict(zip(ksii, curves))
+    return ksii, info
 
 
 def _evaluate(game: SurvivalGame, planned: Iterable[int]):

@@ -8,7 +8,7 @@ the empty coalition is worth exactly zero.
 
 ``coalition_values`` is the one value engine, over a block of instances (a
 ``SurvivalGame`` is its one-instance case). ``all_coalition_values`` yields
-the exact path's (n, 2^p, T) value tensors block by block, and
+the exact path's (n, 2^p, w) value tensors block by block, and
 ``evaluate_all_coalitions`` returns one game's (2^p, T) array, whose row
 index is the coalition mask; that plain array is the value table everywhere.
 A predict chunk holds coalitions of one instance only, so no row's values
@@ -17,10 +17,21 @@ freed before the next. Rows come reference-row-major (row r of every
 coalition, then r + 1), so a coalition mean adds the reference rows in
 sequence, whatever shares the chunk; at T = 1 each coalition sums its own
 contiguous row, pairwise.
+
+The engine predicts the first w grid points, w decided in ``_width`` alone:
+w = 1 for a callable marked ``time_constant`` on T > 1 points, each of whose
+rows is one value repeated over time, else w = T. Reference rows are added
+in sequence at either width, so a value does not depend on w.
+``reference_mean``, ``SurvivalGame.values_for_masks`` and
+``evaluate_all_coalitions`` repeat one-column values over the grid; the
+exact path and ``approximators.estimate`` repeat only their curves. A
+prediction that is not (rows, w) raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import copy
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -175,43 +186,84 @@ class ConditionalGaussianImputer:
         return rows.reshape(-1, self.p)
 
 
+def _width(predict: PredictFn, grid: TimeGrid) -> int:
+    """Timepoints the engine predicts, the first w of the grid: 1 for a
+    callable marked ``time_constant`` on a grid of T > 1 points, else T. The
+    mark is read through ``__wrapped__``, outermost first."""
+    marked = inspect.unwrap(predict, stop=lambda f: hasattr(f, "time_constant"))
+    if len(grid) > 1 and getattr(marked, "time_constant", False):
+        return 1
+    return len(grid)
+
+
+def _widen(values: np.ndarray, T: int) -> np.ndarray:
+    """``values`` whose last axis has width 1 or T, repeated to T columns."""
+    return values if values.shape[-1] == T else np.repeat(values, T, axis=-1)
+
+
+def _checked(preds, m: int, w: int) -> np.ndarray:
+    """A prediction as a float array, which must be (m rows, w timepoints)."""
+    preds = np.asarray(preds, dtype=float)
+    if preds.shape != (m, w):
+        raise ValueError(f"predict must return one row per input row and one column "
+                         f"per timepoint, shape {(m, w)}, got shape {preds.shape}")
+    return preds
+
+
+def _means(preds: np.ndarray, T: int) -> np.ndarray:
+    """Column means of (n_ref, cols) predictions. numpy adds along a
+    contiguous axis pairwise, along any other in order: at T = 1 each column
+    is summed as a contiguous row, pairwise; otherwise the reference rows
+    are added in sequence, by an accumulation when there is one column."""
+    if T == 1:
+        sums = np.ascontiguousarray(preds.T).sum(axis=1)
+    elif preds.shape[1] == 1:
+        sums = np.cumsum(preds[:, 0])[-1:]
+    else:
+        sums = preds.sum(axis=0)
+    sums /= preds.shape[0]
+    return sums
+
+
 def reference_mean(predict: PredictFn, imputer, grid: TimeGrid) -> np.ndarray:
-    """Mean prediction over the reference rows (the order-zero term)."""
-    return np.asarray(predict(imputer.reference_rows(), grid.points)).mean(axis=0)
+    """(T,) mean prediction over the reference rows (the order-zero term)."""
+    rows, w = imputer.reference_rows(), _width(predict, grid)
+    preds = _checked(predict(rows, grid.points[:w]), rows.shape[0], w)
+    return _widen(_means(preds, len(grid)), len(grid))
 
 
 def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                      masks, baseline: np.ndarray) -> np.ndarray:
-    """(len(X), len(masks), T) value curves of each coalition for each row of
-    X; the empty and full coalitions need no imputation."""
+    """(len(X), len(masks), w) value curves of each coalition for each row of
+    X at the evaluation width w (``_width``), given the (T,) ``baseline``;
+    the empty and full coalitions need no imputation."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    T, n_ref = len(grid), imputer.n_reference
-    out = np.zeros((X.shape[0], masks.size, T))
+    T, n_ref, w = len(grid), imputer.n_reference, _width(predict, grid)
+    points, baseline = grid.points[:w], baseline[:w]
+    out = np.zeros((X.shape[0], masks.size, w))
     full = masks == (1 << imputer.p) - 1
     pending = np.flatnonzero((masks != 0) & ~full)
-    per_mask = n_ref * max(T, imputer.p)
+    per_mask = n_ref * max(w, imputer.p)
     split = per_mask * pending.size > _SPLIT_FLOATS
     step = max(1, _CHUNK_FLOATS // per_mask) if split else max(pending.size, 1)
     for x, row in zip(X, out):
         if full.any():
-            row[full] = np.asarray(predict(x[None, :], grid.points))[0] - baseline
+            row[full] = _checked(predict(x[None, :], points), 1, w)[0] - baseline
         for lo in range(0, pending.size, step):
             sub = pending[lo:lo + step]
             rows = imputer.rows_for(x, masks[sub])
             try:
-                preds = np.asarray(predict(rows, grid.points))
+                preds = predict(rows, points)
             except Exception as exc:
                 labels = [coalition_label(indices_from_mask(int(m)))
                           for m in masks[sub[:_LABELS_IN_ERROR]]]
                 raise RuntimeError(f"prediction failed for {sub.size} "
                                    f"coalitions, starting {labels}: {exc}") from exc
+            preds = _checked(preds, rows.shape[0], w)
             del rows
-            preds = preds.reshape(n_ref, -1)
-            # numpy adds along a contiguous axis pairwise, along any other in order
-            sums = np.ascontiguousarray(preds.T).sum(axis=1) if T == 1 else preds.sum(axis=0)
+            sums = _means(preds.reshape(n_ref, -1), T)
             del preds
-            sums /= n_ref
-            row[sub] = sums.reshape(sub.size, T) - baseline
+            row[sub] = sums.reshape(sub.size, w) - baseline
     return out
 
 
@@ -226,6 +278,9 @@ class SurvivalGame:
     imputer: MarginalEmpiricalImputer | ConditionalGaussianImputer
     grid: TimeGrid
     reference_mean: np.ndarray | None = None
+    # values_for_masks and evaluate_all_coalitions repeat values of width
+    # w < T over the grid, except in a copy from ``_at_evaluation_width``
+    _narrow = False
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
@@ -250,19 +305,34 @@ class SurvivalGame:
 
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
         """(n_masks, T) value curves in the order of ``masks``."""
-        return coalition_values(self.predict, self.x[None, :], self.imputer,
-                                self.grid, masks, self.baseline())[0]
+        return self._output(coalition_values(self.predict, self.x[None, :], self.imputer,
+                                             self.grid, masks, self.baseline())[0])
+
+    def _output(self, values: np.ndarray) -> np.ndarray:
+        return values if self._narrow else _widen(values, len(self.grid))
+
+    def _at_evaluation_width(self) -> "SurvivalGame":
+        """The game itself, or for a time-constant game on T > 1 points a copy
+        sharing its reference mean whose values and value table stay one
+        column wide, for the estimators."""
+        if _width(self.predict, self.grid) == len(self.grid):
+            return self
+        self.baseline()
+        narrow = copy.copy(self)
+        narrow._narrow = True
+        return narrow
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                          baseline: np.ndarray):
-    """Yields (n, 2^p, T) values of every coalition for consecutive blocks of
-    n rows of X (as many as fit in ``_BLOCK_FLOATS``, at least one); each
-    (instance, coalition, reference row) is predicted exactly once."""
+    """Yields (n, 2^p, w) values of every coalition at the evaluation width w
+    (``_width``) for consecutive blocks of n rows of X (as many as fit in
+    ``_BLOCK_FLOATS``, at least one); each (instance, coalition, reference
+    row) is predicted exactly once."""
     p = imputer.p
     if p > MAX_EXACT_FEATURES:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_FEATURES} features")
-    per_row = (1 << p) * len(grid)
+    per_row = (1 << p) * _width(predict, grid)
     estimated = per_row * 8 + imputer.n_reference * p * 8
     if estimated > _TABLE_BYTE_BUDGET:
         raise MemoryError(
@@ -278,7 +348,7 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
 def evaluate_all_coalitions(game: SurvivalGame) -> np.ndarray:
     """Read-only (2^p, T) values of every coalition of one game, whose row
     index is the coalition mask: the one-row case of ``all_coalition_values``."""
-    values = next(all_coalition_values(game.predict, game.x[None, :], game.imputer,
-                                       game.grid, game.baseline()))[0]
+    values = game._output(next(all_coalition_values(
+        game.predict, game.x[None, :], game.imputer, game.grid, game.baseline()))[0])
     values.flags.writeable = False
     return values

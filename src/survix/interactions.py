@@ -9,12 +9,16 @@ Bernoulli-number weights, which keeps the top order equal to the raw index,
 preserves efficiency at every timepoint, reduces to Shapley values at order
 one, and reproduces the Moebius transform at full order.
 
-``explain_instances`` fills one (N, 2^p, T) value tensor per block of rows,
+``explain_instances`` fills one (N, 2^p, w) value tensor per block of rows,
 runs one Moebius pass over its coalition axis, then one contraction per
-target coalition, over all N. That redistribution of Moebius coefficients and
-the estimators' aggregation of sampled indices take their superset plans from
-``_superset_plan``: a weight depends only on (|S|, |R|, k), so each fills one
-(k+1, p+1) table, indexed by superset popcount, and caches its plan per (p, k).
+target coalition, over all N. The width w is the engine's evaluation width
+(see ``games``): T, or 1 for a time-constant prediction callable, whose
+attribution curves are repeated over the grid once per block.
+
+The redistribution of Moebius coefficients and the estimators' aggregation
+of sampled indices each cache a plan per (p, k): every target's supersets
+and weights, enumerated directly from its complement (``_supersets``). A
+weight depends only on (|S|, |R|, k).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import (
     indices_from_mask,
     mask_size,
 )
-from .games import SurvivalGame, all_coalition_values, reference_mean
+from .games import SurvivalGame, _widen, all_coalition_values, reference_mean
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -106,37 +110,51 @@ def _bernoulli_fractions(n: int):
     return tuple(bern)
 
 
-def _superset_plan(candidates: np.ndarray, weights: np.ndarray):
-    """(S, supersets of S among ``candidates`` in their order, their non-zero
-    weights) for every target coalition S of size 1..k, in ``coalition_iter``
-    order. ``weights`` is the (k+1, p+1) table of the weight a superset of
-    size r passes to a target of size s, indexed [s, r]."""
-    k, p = weights.shape[0] - 1, weights.shape[1] - 1
-    sizes = sum((candidates >> j) & 1 for j in range(p))
-    out = []
-    for S in itertools.islice(coalition_iter(p, k), 1, None):  # skips the empty set
-        hit = (candidates & S) == S
-        supers, coeffs = candidates[hit], weights[mask_size(S), sizes[hit]]
-        kept = (supers[coeffs != 0.0], coeffs[coeffs != 0.0])
-        for a in kept:  # shared by every caller through the caches
-            a.flags.writeable = False
-        out.append((S,) + kept)
-    return tuple(out)
+def _sizes(masks: np.ndarray, p: int) -> np.ndarray:
+    """Number of features in each coalition mask over p features."""
+    sizes = np.zeros(masks.shape, dtype=np.int64)
+    for j in range(p):
+        sizes += (masks >> j) & 1
+    return sizes
+
+
+def _supersets(targets: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
+    """(len(targets), len(extras)) supersets of coalitions of one size s:
+    each mask in ``extras`` picks features among the p - s outside a target,
+    counted from its lowest. Picking keeps order, so each row ascends or
+    descends as ``extras`` do."""
+    bits = 1 << np.arange(p, dtype=np.int64)
+    free = np.broadcast_to(bits, (targets.size, p))[(targets[:, None] & bits) == 0]
+    free = free.reshape(targets.size, -1)
+    picks = (extras[:, None] >> np.arange(free.shape[1])) & 1
+    return targets[:, None] + free @ picks.T
 
 
 @lru_cache(maxsize=16)
 def _aggregation_plan(p: int, k: int):
     """Row of each coalition of size 1..k (ascending masks), then, target by
-    target in row order, the rows of its supersets with their Bernoulli
-    weights B_{r-s}, flat, and where each target's run starts."""
-    bern = _bernoulli_fractions(k)
-    weights = np.array([[float(bern[r - s]) if s <= r <= k else 0.0 for r in range(p + 1)]
-                        for s in range(k + 1)])
+    target in row order, the rows of its supersets of size <= k in ascending
+    mask order with their non-zero Bernoulli weights B_{r-s}, flat, and
+    where each target's run starts."""
+    bern = np.array([float(b) for b in _bernoulli_fractions(k)])
     masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]  # no empty set
-    _, supers, coeffs = zip(*sorted(_superset_plan(masks, weights), key=lambda e: e[0]))
+    sizes = _sizes(masks, p)
+    lengths = np.zeros(masks.size, dtype=np.int64)
+    runs = []
+    for s in range(1, k + 1):
+        extras = np.sort(np.fromiter(coalition_iter(p - s, k - s), dtype=np.int64))
+        weights = bern[_sizes(extras, p - s)]
+        at = np.flatnonzero(sizes == s)
+        runs.append((at, _supersets(masks[at], p, extras[weights != 0.0]),
+                     weights[weights != 0.0]))
+        lengths[at] = runs[-1][2].size
+    starts = np.cumsum(lengths) - lengths
+    supers, coeffs = np.empty(lengths.sum(), dtype=np.int64), np.empty(lengths.sum())
+    for at, sup, weights in runs:
+        place = starts[at, None] + np.arange(weights.size)
+        supers[place], coeffs[place] = sup, weights
     return ({S: i for i, S in enumerate(masks.tolist())},
-            np.searchsorted(masks, np.concatenate(supers)), np.concatenate(coeffs),
-            np.cumsum([0] + [c.size for c in coeffs[:-1]]))
+            np.searchsorted(masks, supers), coeffs, starts)
 
 
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:
@@ -182,10 +200,22 @@ def _moebius_redistribution(s: int, r: int, k: int) -> float:
 def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
     """(S, superset masks in descending order, their non-zero order-k
     weights) for every target coalition S of size 1..k, in canonical order:
-    the weights of the Moebius coefficients each target receives."""
-    weights = np.array([[_moebius_redistribution(s, r, k) for r in range(p + 1)]
-                        for s in range(k + 1)])
-    return _superset_plan(np.arange(1 << p, dtype=np.int64)[::-1], weights)
+    the weights of the Moebius coefficients each target receives. Targets of
+    one size share their weights."""
+    masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
+    sizes = _sizes(masks, p)
+    out = []
+    for s in range(1, k + 1):
+        extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
+        weights = np.array([_moebius_redistribution(s, r, k)
+                            for r in range(s, p + 1)])[_sizes(extras, p - s)]
+        targets = masks[sizes == s]
+        supers = _supersets(targets, p, extras[weights != 0.0])
+        coeffs = weights[weights != 0.0]
+        for a in (supers, coeffs):  # shared by every caller through the cache
+            a.flags.writeable = False
+        out += zip(targets.tolist(), supers, itertools.repeat(coeffs))
+    return tuple(out)
 
 
 def _check_order(k: int, p: int) -> None:
@@ -280,6 +310,7 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
         # the largest coalition magnitude entering the cancellations;
         # float64 cannot do better than eps times this
         scales = np.abs(V).max(axis=(1, 2))
+        curves = _widen(curves, len(grid))
         out += [explanation(dict(zip(targets, c)),
                             {"method": "exact", "evaluations": 1 << p,
                              "efficiency_residual": float(r), "table_scale": float(sc)})

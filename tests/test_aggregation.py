@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from oracles import exact_sii
 from survix import approximators
-from survix.core import mask_size
+from survix.core import coalition_iter, mask_size
 from survix.interactions import (
+    _aggregation_plan,
     _bernoulli_fractions,
     _redistribution,
     aggregate_ksii,
@@ -145,6 +146,34 @@ def test_errors_keep_their_messages():
     got = aggregate_ksii(only_top, 2, 4)
     assert got.keys() == only_top.keys()
     assert all(np.array_equal(got[S], v) for S, v in only_top.items())
+
+
+def oracle_aggregation_plan(p, k):
+    """The earlier plan builder: every candidate coalition of size 1..k is
+    tested against every target, so it costs targets x candidates."""
+    bern = _bernoulli_fractions(k)
+    table = np.array([[float(bern[r - s]) if s <= r <= k else 0.0 for r in range(p + 1)]
+                      for s in range(k + 1)])
+    masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]
+    sizes = sum((masks >> j) & 1 for j in range(p))
+    supers, coeffs = [], []
+    for S in masks.tolist():
+        hit = (masks & S) == S
+        weights = table[mask_size(S), sizes[hit]]
+        supers.append(masks[hit][weights != 0.0])
+        coeffs.append(weights[weights != 0.0])
+    return ({S: i for i, S in enumerate(masks.tolist())},
+            np.searchsorted(masks, np.concatenate(supers)), np.concatenate(coeffs),
+            np.cumsum([0] + [c.size for c in coeffs[:-1]]))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(1, 13) for k in range(1, p + 1)]
+                         + [(30, 3), (30, 4)])
+def test_aggregation_plan_matches_the_all_pairs_build(p, k):
+    got, want = _aggregation_plan(p, k), oracle_aggregation_plan(p, k)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 @settings(max_examples=40)

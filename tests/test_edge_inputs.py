@@ -1,9 +1,10 @@
 """Edge inputs through ``explain``: one feature, one timepoint, one
 reference row, a bounded cumulative hazard, a near-singular conditional
-covariance and an order outside 1..p either work or fail with a clear
-error."""
+covariance, an order outside 1..p and a wrongly shaped prediction either
+work or fail with a clear error."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import survix
 from survix.approximators import estimate
 from survix.core import PredictionTarget, build_time_grid
 from survix.games import (ConditionalGaussianImputer, MarginalEmpiricalImputer,
-                          SurvivalGame)
+                          SurvivalGame, reference_mean)
 from survix.interactions import ApproximatorConfig, explain
 from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import build_scenario
@@ -162,3 +163,37 @@ def test_permutation_order_outside_one_to_p_is_rejected_without_hanging():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "rejected"
+
+
+# a prediction of m rows on a T-point grid, reshaped wrongly
+BAD_SHAPES = {
+    "one_dimensional": lambda out: out[:, 0],
+    "one_timepoint_too_many": lambda out: np.hstack([out, out[:, :1]]),
+    "transposed": lambda out: out.T,
+    "one_row_short": lambda out: out[:-1],
+    "one_column_on_a_grid": lambda out: out[:, :1],
+}
+
+
+def _shape_message(m, T, bad):
+    got = BAD_SHAPES[bad](np.zeros((m, T))).shape
+    return re.escape(f"shape {(m, T)}, got shape {got}")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SHAPES))
+def test_wrongly_shaped_prediction_is_rejected(bad):
+    # 7 reference rows, 5 timepoints: the reference mean is the first call
+    predict, x, imputer, grid = additive_case(3, 5, 7)
+
+    def wrong(X, t):
+        return BAD_SHAPES[bad](predict(X, t))
+    with pytest.raises(ValueError, match=_shape_message(7, 5, bad)):
+        explain(wrong, x, imputer, grid, 2, TARGET)
+    # with the reference mean given, Monte Carlo first predicts the full
+    # coalition (one row), and a value call two imputed coalitions (14 rows)
+    game = SurvivalGame(wrong, x, imputer, grid,
+                        reference_mean=reference_mean(predict, imputer, grid))
+    with pytest.raises(ValueError, match=_shape_message(1, 5, bad)):
+        estimate(game, 2, "mc", 6, 1)
+    with pytest.raises(ValueError, match=_shape_message(14, 5, bad)):
+        game.values_for_masks([1, 2])

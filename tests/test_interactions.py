@@ -107,11 +107,12 @@ class TestMoebius:
 
 
 class TestTermLocalOracle:
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_wide_table_matches_per_term_alternating_sums(self, seed):
-        # p = 12: nine inert features, five supported coalitions of 4096
-        model = benchmark_model(12)
-        features = sample_features(FeatureSampler.standard(12, seed=seed), 101)
+    @pytest.mark.parametrize("seed,p", [(3, 12), (4, 12), (3, 14), (4, 14)],
+                             ids=["3", "4", "3-p14", "4-p14"])
+    def test_wide_table_matches_per_term_alternating_sums(self, seed, p):
+        # p - 3 inert features: five supported coalitions of 2^p
+        model = benchmark_model(p)
+        features = sample_features(FeatureSampler.standard(p, seed=seed), 101)
         x, background = features[0], features[1:]
         grid = build_time_grid(T_MAX, 11)
         game = SurvivalGame(model.prediction_function(PredictionTarget.LOG_HAZARD),
@@ -129,7 +130,7 @@ class TestTermLocalOracle:
             for t in model.risk.terms)
         # each value is a mean of 100 predictions, each within a few ulps,
         # and a coefficient adds 2^|A| of them over |A| levels
-        sizes = np.array([mask_size(m) for m in range(1 << 12)])
+        sizes = np.array([mask_size(m) for m in range(1 << p)])
         bound = 2.0**sizes * (100 + sizes + 4) * np.finfo(float).eps * largest
         assert np.all(np.abs(mo - oracle).max(axis=1) <= bound)
 
