@@ -12,9 +12,9 @@ the values, so the sampling loop draws and budgets coalitions first; then one
 permutation take every sampled (K, M) discrete derivative together.
 
 An estimator works at the width of the values it fetches. ``estimate`` runs
-it on a time-constant game's one-column values (see ``games``) and repeats
-the estimated curves over the grid once; called directly, an estimator sees
-the game's T columns.
+it on the game's values at the engine's nodes (see ``games``) and maps the
+estimated curves to the grid once; called directly, an estimator sees the
+game's T columns.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, List, Set, Tuple
 import numpy as np
 
 from .core import coalition_iter, mask_size
-from .games import SurvivalGame, _widen, evaluate_all_coalitions
+from .games import SurvivalGame, _to_grid, _width, evaluate_all_coalitions
 from .interactions import _check_order, _submasks, aggregate_ksii, exact_ksii
 
 RIDGE = 1e-8
@@ -42,7 +42,8 @@ def estimators():
 
 
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
-    """Run the estimator named ``method``; returns (ksii, info).
+    """Run the estimator named ``method``; returns (ksii, info), where info
+    records the number of nodes the values were taken at as ``width``.
 
     A regression that samples, with a budget below full enumeration, needs a
     budget of at least 2*(k+1); at full enumeration every method is exact.
@@ -51,12 +52,13 @@ def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     _check_order(k, game.p)
     if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
         raise ValueError("regression needs budget >= 2*(order+1)")
-    narrow = game._at_evaluation_width()
-    ksii, info = runner(narrow, k, budget, seed)
-    if narrow is not game:
-        curves = _widen(np.array(list(ksii.values())), len(game.grid))
-        ksii = dict(zip(ksii, curves))
-    return ksii, info
+    nodes, basis_map = _width(game.predict, game.grid)
+    if basis_map is None:
+        ksii, info = runner(game, k, budget, seed)
+    else:
+        ksii, info = runner(game._copy_at_nodes(), k, budget, seed)
+        ksii = dict(zip(ksii, _to_grid(np.array(list(ksii.values())), basis_map)))
+    return ksii, {**info, "width": nodes.size}
 
 
 def _evaluate(game: SurvivalGame, planned: Iterable[int]):

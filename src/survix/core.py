@@ -36,16 +36,6 @@ class PredictionTarget(Enum):
 # coalitions
 # ---------------------------------------------------------------------------
 
-def mask_from_indices(indices: Sequence[int], p: int) -> int:
-    """Encode a set of 0-based feature indices as a bitmask."""
-    mask = 0
-    for i in indices:
-        if not 0 <= i < p:
-            raise ValueError(f"feature index {i} out of range for p={p}")
-        mask |= 1 << i
-    return mask
-
-
 def indices_from_mask(mask: int) -> Indices:
     """Decode a bitmask into a sorted tuple of 0-based feature indices."""
     out = []

@@ -18,14 +18,14 @@ coalition, then r + 1), so a coalition mean adds the reference rows in
 sequence, whatever shares the chunk; at T = 1 each coalition sums its own
 contiguous row, pairwise.
 
-The engine predicts the first w grid points, w decided in ``_width`` alone:
-w = 1 for a callable marked ``time_constant`` on T > 1 points, each of whose
-rows is one value repeated over time, else w = T. Reference rows are added
-in sequence at either width, so a value does not depend on w.
-``reference_mean``, ``SurvivalGame.values_for_masks`` and
-``evaluate_all_coalitions`` repeat one-column values over the grid; the
-exact path and ``approximators.estimate`` repeat only their curves. A
-prediction that is not (rows, w) raises ``ValueError``.
+The engine predicts at the nodes that ``_width`` alone decides: on T > r
+points, r grid points for a callable each of whose rows is a combination of
+the r rows of its declared ``time_basis(times)`` (the first and last point
+for r = 2, the first for r = 1), else every point. Values, Moebius
+coefficients and estimates stay at the nodes, and each public entry point
+maps its result to the grid once, with ``_to_grid``. Reference rows are
+added in sequence at any width. A prediction that is not (rows, nodes)
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,19 +187,51 @@ class ConditionalGaussianImputer:
         return rows.reshape(-1, self.p)
 
 
-def _width(predict: PredictFn, grid: TimeGrid) -> int:
-    """Timepoints the engine predicts, the first w of the grid: 1 for a
-    callable marked ``time_constant`` on a grid of T > 1 points, else T. The
-    mark is read through ``__wrapped__``, outermost first."""
-    marked = inspect.unwrap(predict, stop=lambda f: hasattr(f, "time_constant"))
-    if len(grid) > 1 and getattr(marked, "time_constant", False):
-        return 1
-    return len(grid)
+def _width(predict: PredictFn, grid: TimeGrid):
+    """The grid indices the engine predicts, and the (r, T) map from values
+    there to the grid, or None. A declared ``time_basis`` is read through
+    ``__wrapped__``, outermost first, so a wrapper may override or drop it."""
+    declared = inspect.unwrap(predict, stop=lambda f: hasattr(f, "time_basis"))
+    time_basis = getattr(declared, "time_basis", None)
+    if time_basis is None:
+        return np.arange(len(grid)), None
+    return _nodes(time_basis, grid.points.tobytes())
 
 
-def _widen(values: np.ndarray, T: int) -> np.ndarray:
-    """``values`` whose last axis has width 1 or T, repeated to T columns."""
-    return values if values.shape[-1] == T else np.repeat(values, T, axis=-1)
+@lru_cache(maxsize=32)
+def _nodes(time_basis, points: bytes):
+    """Read-only nodes and map of a basis B on the grid ``points``: on T > r
+    points, ``linspace(0, T - 1, r)`` rounded and ``solve(B[:, nodes], B)``,
+    which returns node values unchanged. Cached, as building a map costs
+    more than the rest of a small explanation's bookkeeping."""
+    points = np.frombuffer(points)
+    basis, T = np.asarray(time_basis(points), dtype=float), points.size
+    if basis.ndim != 2 or basis.size == 0 or basis.shape[1] != T:
+        raise ValueError(f"time_basis must return one row per basis function and one "
+                         f"column per timepoint, shape (r, {T}), got shape {basis.shape}")
+    r, basis_map = basis.shape[0], None
+    nodes = np.linspace(0, T - 1, min(r, T)).round().astype(np.intp)
+    if T > r:
+        try:
+            basis_map = np.linalg.solve(basis[:, nodes], basis)
+        except np.linalg.LinAlgError:
+            basis_map = np.full_like(basis, np.inf)
+        # a map entry of 1/eps or more would drown the node values in rounding
+        if not (np.abs(basis_map) * np.finfo(float).eps < 1).all():
+            raise ValueError(f"time_basis must be finite and non-singular at the grid "
+                             f"points {points[nodes].tolist()}")
+        basis_map[:, nodes] = np.eye(r)
+        basis_map.flags.writeable = False
+    nodes.flags.writeable = False
+    return nodes, basis_map
+
+
+def _to_grid(values: np.ndarray, basis_map) -> np.ndarray:
+    """``values`` at the nodes, on the whole grid. One node is scaled by
+    broadcasting, as a matrix product would turn -0.0 into +0.0."""
+    if basis_map is None:
+        return values
+    return values * basis_map[0] if basis_map.shape[0] == 1 else values @ basis_map
 
 
 def _checked(preds, m: int, w: int) -> np.ndarray:
@@ -226,20 +259,21 @@ def _means(preds: np.ndarray, T: int) -> np.ndarray:
 
 
 def reference_mean(predict: PredictFn, imputer, grid: TimeGrid) -> np.ndarray:
-    """(T,) mean prediction over the reference rows (the order-zero term)."""
-    rows, w = imputer.reference_rows(), _width(predict, grid)
-    preds = _checked(predict(rows, grid.points[:w]), rows.shape[0], w)
-    return _widen(_means(preds, len(grid)), len(grid))
+    """(T,) mean prediction over the reference rows (the order-zero term),
+    taken at the nodes (``_width``)."""
+    rows, (nodes, basis_map) = imputer.reference_rows(), _width(predict, grid)
+    preds = _checked(predict(rows, grid.points[nodes]), rows.shape[0], nodes.size)
+    return _to_grid(_means(preds, len(grid)), basis_map)
 
 
 def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                      masks, baseline: np.ndarray) -> np.ndarray:
     """(len(X), len(masks), w) value curves of each coalition for each row of
-    X at the evaluation width w (``_width``), given the (T,) ``baseline``;
-    the empty and full coalitions need no imputation."""
+    X at the w nodes (``_width``), given the (T,) ``baseline``; the empty and
+    full coalitions need no imputation."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    T, n_ref, w = len(grid), imputer.n_reference, _width(predict, grid)
-    points, baseline = grid.points[:w], baseline[:w]
+    T, n_ref, nodes = len(grid), imputer.n_reference, _width(predict, grid)[0]
+    w, points, baseline = nodes.size, grid.points[nodes], baseline[nodes]
     out = np.zeros((X.shape[0], masks.size, w))
     full = masks == (1 << imputer.p) - 1
     pending = np.flatnonzero((masks != 0) & ~full)
@@ -278,9 +312,8 @@ class SurvivalGame:
     imputer: MarginalEmpiricalImputer | ConditionalGaussianImputer
     grid: TimeGrid
     reference_mean: np.ndarray | None = None
-    # values_for_masks and evaluate_all_coalitions repeat values of width
-    # w < T over the grid, except in a copy from ``_at_evaluation_width``
-    _narrow = False
+    # not a field: True only in a copy from ``_copy_at_nodes``
+    _at_nodes = False
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
@@ -305,34 +338,34 @@ class SurvivalGame:
 
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
         """(n_masks, T) value curves in the order of ``masks``."""
-        return self._output(coalition_values(self.predict, self.x[None, :], self.imputer,
-                                             self.grid, masks, self.baseline())[0])
+        return self._on_grid(coalition_values(self.predict, self.x[None, :], self.imputer,
+                                              self.grid, masks, self.baseline())[0])
 
-    def _output(self, values: np.ndarray) -> np.ndarray:
-        return values if self._narrow else _widen(values, len(self.grid))
+    def _on_grid(self, values: np.ndarray) -> np.ndarray:
+        if self._at_nodes:
+            return values
+        return _to_grid(values, _width(self.predict, self.grid)[1])
 
-    def _at_evaluation_width(self) -> "SurvivalGame":
-        """The game itself, or for a time-constant game on T > 1 points a copy
-        sharing its reference mean whose values and value table stay one
-        column wide, for the estimators."""
-        if _width(self.predict, self.grid) == len(self.grid):
-            return self
+    def _copy_at_nodes(self) -> "SurvivalGame":
+        """A copy, sharing the reference mean, whose values and value table
+        stay at the nodes (``_width``): what ``approximators.estimate`` runs
+        an estimator on when a basis maps them to the grid."""
         self.baseline()
-        narrow = copy.copy(self)
-        narrow._narrow = True
-        return narrow
+        at_nodes = copy.copy(self)
+        at_nodes._at_nodes = True
+        return at_nodes
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                          baseline: np.ndarray):
-    """Yields (n, 2^p, w) values of every coalition at the evaluation width w
+    """Yields (n, 2^p, w) values of every coalition at the w nodes
     (``_width``) for consecutive blocks of n rows of X (as many as fit in
     ``_BLOCK_FLOATS``, at least one); each (instance, coalition, reference
     row) is predicted exactly once."""
     p = imputer.p
     if p > MAX_EXACT_FEATURES:
         raise ValueError(f"exact enumeration supports at most {MAX_EXACT_FEATURES} features")
-    per_row = (1 << p) * _width(predict, grid)
+    per_row = (1 << p) * _width(predict, grid)[0].size
     estimated = per_row * 8 + imputer.n_reference * p * 8
     if estimated > _TABLE_BYTE_BUDGET:
         raise MemoryError(
@@ -348,7 +381,7 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
 def evaluate_all_coalitions(game: SurvivalGame) -> np.ndarray:
     """Read-only (2^p, T) values of every coalition of one game, whose row
     index is the coalition mask: the one-row case of ``all_coalition_values``."""
-    values = game._output(next(all_coalition_values(
+    values = game._on_grid(next(all_coalition_values(
         game.predict, game.x[None, :], game.imputer, game.grid, game.baseline()))[0])
     values.flags.writeable = False
     return values

@@ -11,9 +11,9 @@ one, and reproduces the Moebius transform at full order.
 
 ``explain_instances`` fills one (N, 2^p, w) value tensor per block of rows,
 runs one Moebius pass over its coalition axis, then one contraction per
-target coalition, over all N. The width w is the engine's evaluation width
-(see ``games``): T, or 1 for a time-constant prediction callable, whose
-attribution curves are repeated over the grid once per block.
+target coalition, over all N. The w columns are the engine's nodes (see
+``games``): r for a callable with an r-row time basis, such as a ground-truth
+log-hazard, else T. The curves are mapped to the grid once per block.
 
 The redistribution of Moebius coefficients and the estimators' aggregation
 of sampled indices each cache a plan per (p, k): every target's supersets
@@ -40,7 +40,7 @@ from .core import (
     indices_from_mask,
     mask_size,
 )
-from .games import SurvivalGame, _widen, all_coalition_values, reference_mean
+from .games import SurvivalGame, _to_grid, _width, all_coalition_values, reference_mean
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -302,17 +302,22 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
         return [explanation(*approximators.estimate(
             SurvivalGame(predict, x, imputer, grid, reference_mean=baseline),
             order, method.method, method.budget, method.seed)) for x in X]
+    nodes, basis_map = _width(predict, grid)
+    # a magnitude over the grid is at most the nodes' times the map's largest
+    # column sum, which is 1 for the bases [1] and [1, log1p(t)]
+    gain = 1.0 if basis_map is None else np.abs(basis_map).sum(axis=0).max()
     out = []
     for V in all_coalition_values(predict, X, imputer, grid, baseline):
         curves = _ksii_block(V, order)
         targets = [S for S, _, _ in _redistribution(p, order)]
-        residuals = np.abs(curves.sum(axis=1) - V[:, -1]).max(axis=1)
+        residuals = np.abs(curves.sum(axis=1) - V[:, -1]).max(axis=1) * gain
         # the largest coalition magnitude entering the cancellations;
         # float64 cannot do better than eps times this
-        scales = np.abs(V).max(axis=(1, 2))
-        curves = _widen(curves, len(grid))
+        scales = np.abs(V).max(axis=(1, 2)) * gain
+        curves = _to_grid(curves, basis_map)
         out += [explanation(dict(zip(targets, c)),
                             {"method": "exact", "evaluations": 1 << p,
-                             "efficiency_residual": float(r), "table_scale": float(sc)})
+                             "efficiency_residual": float(r), "table_scale": float(sc),
+                             "width": nodes.size})
                 for c, r, sc in zip(curves, residuals, scales)]
     return out

@@ -11,9 +11,9 @@ lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. The loads (c0, c1) are
 accumulated term by term from contiguous copies of the used feature columns.
 A time-independent model (c1 = 0) has one log-hazard and one hazard per row,
 log(lam) + c0 and lam * e^c0, computed on the rows and broadcast over the
-grid, and ``prediction_function`` marks those two scales' callables
-``time_constant``; time-dependent log-hazards and hazards take the
-term-matrix product.
+grid; time-dependent log-hazards and hazards take the term-matrix product.
+``prediction_function`` declares the time basis [1] of those two scales and
+[1, log1p(t)] of a time-dependent log-hazard.
 Every scale checks that the times are finite and >= 0, and a row that
 overflows raises FloatingPointError without numpy warnings. There is one
 implementation of each scale, the batch one, also for a single row or time.
@@ -260,14 +260,17 @@ class GroundTruthModel:
     def prediction_function(self, target: PredictionTarget):
         """Batch callable (X, times) -> (m, T) for use in value functions.
 
-        On the log-hazard and hazard scales of a time-independent model every
-        row is one value repeated over the times; the callable then carries
-        ``time_constant = True``, which lets the value engine predict at one
-        timepoint. The survival scale is never marked."""
+        Each row it predicts is a linear combination of the rows of its
+        ``time_basis(times)``, if it declares one: [1] on the log-hazard and
+        hazard scales of a time-independent model, [1, log1p(t)] on the
+        log-hazard scale of a time-dependent one, none on other scales."""
         def predict(X, times):
             return self.predict(X, times, target)
-        if self.time_independent and target is not PredictionTarget.SURVIVAL:
-            predict.time_constant = True
+        if target is PredictionTarget.LOG_HAZARD or (
+                self.time_independent and target is PredictionTarget.HAZARD):
+            rank = 1 if self.time_independent else 2
+            predict.time_basis = lambda times: np.vstack(
+                [np.ones(np.size(times)), np.log1p(times)][:rank])
         return predict
 
 

@@ -5,13 +5,14 @@ compute one quantity that ``survix`` computes in batch (the term-matrix
 predictor of a ground-truth model, adaptive quadrature for the closed-form
 cumulative hazard, one-point model and Cox evaluations, the two-array Cox
 survival matrix, one event-time draw, the scenario catalogue with every entry
-built, the term-local Moebius coefficients of a log-hazard game, and the
-discrete-derivative form of the Shapley interaction index). Value tables are
+built, the term-local Moebius coefficients of a log-hazard game, the
+discrete-derivative form of the Shapley interaction index, and the encoding
+of feature indices as a coalition mask). Value tables are
 the library's plain (2^p, T) arrays, whose row index is the coalition mask.
 """
 
 import math
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -332,3 +333,13 @@ def exact_sii(values: np.ndarray, k: int) -> Dict[int, np.ndarray]:
             delta += sign * V[subs | int(L)]
         out[K] = (weights @ delta).astype(float)
     return out
+
+
+def mask_from_indices(indices: Sequence[int], p: int) -> int:
+    """Encode a set of 0-based feature indices as a bitmask."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < p:
+            raise ValueError(f"feature index {i} out of range for p={p}")
+        mask |= 1 << i
+    return mask

@@ -510,11 +510,13 @@ class TestAgainstOracle:
                                    atol=1e-8 * scale)
 
     def test_one_value_call_per_estimate(self):
+        # also through ``estimate``, whose copy of the game keeps its fetch
         game, _ = benchmark_game(seed=7, p=10, n_background=20, n_timepoints=3)
         calls = []
         fetch = game.values_for_masks
         game.values_for_masks = lambda masks: calls.append(len(masks)) or fetch(masks)
         for method, (new, _) in sorted(ESTIMATORS.items()):
-            calls.clear()
-            _, info = _run(new, game, 2, 128, 0)
-            assert calls == [info["evaluations"]], method
+            for run in (new, lambda g, k, b, s, m=method: estimate(g, k, m, b, s)):
+                calls.clear()
+                _, info = _run(run, game, 2, 128, 0)
+                assert calls == [info["evaluations"]], method

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mask_from_indices
 from survix.core import (
     InteractionExplanation,
     PredictionTarget,
@@ -13,7 +14,6 @@ from survix.core import (
     coalition_iter,
     coalition_label,
     indices_from_mask,
-    mask_from_indices,
     parse_coalition_label,
 )
 
