@@ -4,11 +4,12 @@ None of these is on a library path: each is a slower, independent way to
 compute one quantity that ``survix`` computes in batch (the term-matrix
 predictor of a ground-truth model, adaptive quadrature for the closed-form
 cumulative hazard, one-point model and Cox evaluations, the two-array Cox
-survival matrix, one event-time draw, the scenario catalogue with every entry
-built, the term-local Moebius coefficients of a log-hazard game, the
-discrete-derivative form of the Shapley interaction index, and the encoding
-of feature indices as a coalition mask). Value tables are
-the library's plain (2^p, T) arrays, whose row index is the coalition mask.
+survival matrix, the Cox derivatives from (n, p, p) moment sums, one
+event-time draw, the scenario catalogue with every entry built, the
+term-local Moebius coefficients of a log-hazard game, the discrete-derivative
+form of the Shapley interaction index, and the encoding of feature indices as
+a coalition mask). Value tables are the library's plain (2^p, T) arrays, whose
+row index is the coalition mask.
 """
 
 import math
@@ -202,6 +203,29 @@ def coxph_survival_matrix(model: CoxModel, X: np.ndarray, times) -> np.ndarray:
     h0 = model.cumhaz_at(times)
     eta = model.linear_predictor(X)
     return np.exp(-np.exp(eta)[:, None] * h0[None, :])
+
+
+def breslow_derivatives(Xs, ds, risk_start, ev, beta):
+    """Log partial likelihood, gradient and observed information (Breslow),
+    from the reverse cumulative sums s0, s1 and s2 of the (n,), (n, p) and
+    (n, p, p) weighted moments, gathered at each event's risk-set start."""
+    eta = Xs @ beta
+    eta_max = eta.max()
+    w = np.exp(eta - eta_max)
+    wx = Xs * w[:, None]
+    wxx = np.einsum("ij,ik->ijk", Xs, wx)
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum(wx[::-1], axis=0)[::-1]
+    s2 = np.cumsum(wxx[::-1], axis=0)[::-1]
+    at = risk_start[ev]
+    s0e = s0[at]
+    mu = s1[at] / s0e[:, None]
+    loglik = float(np.sum(eta[ev] - (np.log(s0e) + eta_max)))
+    grad = Xs[ev].sum(axis=0) - mu.sum(axis=0)
+    info = (s2[at] / s0e[:, None, None]).sum(axis=0) - np.einsum(
+        "ij,ik->jk", mu, mu
+    )
+    return loglik, grad, info
 
 
 def scenario_catalog() -> Dict[object, GroundTruthModel]:

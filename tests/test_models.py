@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 
 from oracles import (
     QUAD_ABS_TOL,
+    breslow_derivatives,
     coxph_survival,
     cumulative_hazard,
     eval_risk_score,
@@ -253,6 +255,20 @@ class TestCoxFit:
         assert model.iterations < 10
         assert np.all(np.isfinite(model.beta))
 
+    @pytest.mark.parametrize("columns", [[0, 0], [0, 1, 1], [2, 1, 0, 1]])
+    def test_duplicated_column_names_the_singular_information(self, columns):
+        data = _cox_data(n=300, seed=4)
+        dup = SurvivalDataset(data.features[:, columns], data.times, data.events)
+        with pytest.raises(ConvergenceError, match="singular information matrix"):
+            fit_coxph(dup)
+
+    def test_one_feature_fits(self):
+        data = _cox_data(n=300, seed=4)
+        model = fit_coxph(SurvivalDataset(data.features[:, :1], data.times,
+                                          data.events))
+        assert model.p == 1 and model.iterations < 10
+        assert np.all(np.isfinite(model.beta)) and np.all(np.isfinite(model.stderr))
+
     def test_constant_column_rejected(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         data = SurvivalDataset(X, np.arange(1.0, 11.0), np.ones(10, dtype=int))
@@ -375,6 +391,81 @@ class TestCoxFitOracle:
         _assert_same_fit(model, oracle)
         # one extra evaluation, of the beta left by the last failed trial
         assert len(calls) == oracle_calls - model.iterations + 1
+
+
+def _sorted_cohort(X, times, events):
+    """Centred features, events, risk-set starts and event rows in time
+    order, as fit_coxph prepares them."""
+    X = np.asarray(X, dtype=float)
+    order = np.argsort(times, kind="stable")
+    ys = np.asarray(times, dtype=float)[order]
+    ds = np.asarray(events, dtype=int)[order]
+    risk_start = np.searchsorted(ys, ys, side="left")
+    return (X - X.mean(axis=0))[order], ds, risk_start, np.flatnonzero(ds == 1)
+
+
+def _cohort(name):
+    """(features, times, events) of a named derivative-test cohort."""
+    if name == "single_event":
+        return (np.array([[0.0], [1.0], [0.0], [1.0]]),
+                np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 1, 0, 0]))
+    if name == "p10":
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((2000, 10))
+        event = rng.exponential(np.exp(-X @ rng.normal(0.0, 0.3, 10)))
+        censor = rng.exponential(2.0, 2000)
+        return X, np.minimum(event, censor), (event <= censor).astype(int)
+    if name in ("tied", "p1"):
+        data = simulate_dataset(1, n=2000, seed=21)[0]
+        if name == "tied":  # 70 distinct times
+            return data.features, np.ceil(data.times), data.events
+        return data.features[:, :1], data.times, data.events
+    scenario, n, seed = name
+    data = simulate_dataset(scenario, n=n, seed=seed)[0]
+    return data.features, data.times, data.events
+
+
+def _peak_bytes(fn, args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBreslowDerivatives:
+    """The risk-set-weight derivatives against the (n, p, p) moment-sum
+    oracle. The log-likelihood and gradient take the same operations, so
+    they are equal. The information sums the same n-term products in another
+    order; the forward-error bound of an n-term sum, n eps times the sum of
+    the magnitudes, is held as n eps max|info| (c = 1)."""
+
+    @pytest.mark.parametrize("name", [
+        (1, 2000, 21), (10, 2000, 22), (1, 20000, 3), (10, 2000, 3940036142),
+        "tied", "single_event", "p1", "p10",
+    ], ids=str)
+    def test_match_the_moment_sum_oracle(self, name):
+        args = _sorted_cohort(*_cohort(name))
+        n, p = args[0].shape
+        rng = np.random.default_rng(1)
+        for beta in (np.zeros(p), rng.normal(0.0, 0.5 / math.sqrt(p), p)):
+            loglik, grad, info = models._breslow_derivatives(*args, beta)
+            want_loglik, want_grad, want_info = breslow_derivatives(*args, beta)
+            assert loglik == want_loglik
+            assert np.array_equal(grad, want_grad)
+            bound = n * np.finfo(float).eps * np.abs(want_info).max()
+            assert np.abs(info - want_info).max() <= bound
+
+    def test_memory_is_linear_in_n_p(self):
+        n, p = 20000, 10
+        rng = np.random.default_rng(0)
+        args = (*_sorted_cohort(rng.standard_normal((n, p)), rng.exponential(size=n),
+                                (rng.random(n) < 0.7).astype(int)), np.full(p, 0.1))
+        bound = 6 * n * p * 8
+        assert _peak_bytes(models._breslow_derivatives, args) <= bound
+        # the oracle's (n, p, p) sums need 3 n p^2 8 bytes, 5x the bound
+        assert _peak_bytes(breslow_derivatives, args) >= 3 * n * p * p * 8
 
 
 class TestCoxSurvival:

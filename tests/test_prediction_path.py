@@ -2,7 +2,8 @@
 
 Every catalogued model predicts bit for bit what the term-matrix predictor in
 ``tests/oracles.py`` predicts, at every batch size. A time-independent model's
-rows do not depend on their batch on any scale, and survival rows on none.
+rows do not depend on their batch on any scale, and survival rows on none; nor
+do a Cox model's linear predictor and survival rows.
 Models with eight or more terms of one kind sum their loads in term order;
 the oracle's numpy row sum does too on two or more rows, but pairs the terms
 differently on one row, so those models are held to the forward-error bound
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from survix.core import PredictionTarget, build_time_grid
-from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
+from survix.models import CoxModel, GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import T_MAX, build_scenario
 from survix.validation import benchmark_model
 
@@ -125,6 +126,23 @@ def test_rows_predict_the_same_at_any_batch_size(name, m, data):
         assert np.array_equal(whole[start:stop],
                               model.predict(X[start:stop], TIMES, target))
         assert np.array_equal(whole[start], model.predict(X[start], TIMES, target)[0])
+
+
+@settings(max_examples=60)
+@given(p=st.integers(1, 12), m=st.integers(1, 80), data=st.data())
+def test_cox_rows_predict_the_same_at_any_batch_size(p, m, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    model = CoxModel(beta=rng.normal(0.0, 0.5, p), mean=rng.normal(size=p),
+                     baseline_times=np.arange(1.0, 51.0),
+                     baseline_cumhaz=np.cumsum(rng.uniform(0.0, 0.02, 50)))
+    start = data.draw(st.integers(0, m - 1))
+    stop = data.draw(st.integers(start + 1, m))
+    X = 1.5 * rng.standard_normal((m, p))
+    for predict in (model.linear_predictor,
+                    lambda X: model.survival_matrix(X, TIMES)):
+        whole = predict(X)
+        assert np.array_equal(whole[start:stop], predict(X[start:stop]))
+        assert np.array_equal(whole[start], predict(X[start])[0])
 
 
 def test_overflowing_row_raises_on_the_per_row_path():
