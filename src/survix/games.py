@@ -16,7 +16,10 @@ depend on its block (a BLAS product may round a row by batch shape); it is
 freed before the next. Rows come reference-row-major (row r of every
 coalition, then r + 1), so a coalition mean adds the reference rows in
 sequence, whatever shares the chunk; at T = 1 each coalition sums its own
-contiguous row, pairwise.
+contiguous row, pairwise. The marginal imputer stores its rows
+feature-major, so a callable may get them column-major; the conditional
+imputer plans each coalition's Gaussian conditional once per imputer, while
+its plans fit in ``_PLAN_BYTE_BUDGET``.
 
 The engine predicts at the nodes that ``_width`` alone decides: on T > r
 points, r grid points for a callable each of whose rows is a combination of
@@ -59,6 +62,38 @@ _BLOCK_FLOATS = 250_000
 _TABLE_BYTE_BUDGET = 2 << 30
 # a failed prediction names at most this many of its chunk's coalitions
 _LABELS_IN_ERROR = 8
+# the conditional imputer keeps the coalition plans it solves until their
+# arrays would pass this many bytes, then solves any other coalition on each
+# call (an exact sweep visits coalitions in a cycle, which an evicting cache
+# would never hit); the 4094 plans of p = 12 hold 2.6 MiB of arrays (6.0 MiB
+# with their Python objects), those of p = 14 14 MiB
+_PLAN_BYTE_BUDGET = 32 << 20
+
+
+def _instance(x, p: int) -> np.ndarray:
+    """``x`` as a float vector, which must have length p."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p,):
+        raise ValueError(f"instance must be a vector of length p = {p}, "
+                         f"got shape {x.shape}")
+    return x
+
+
+def _conditional(cov: np.ndarray, cond: np.ndarray):
+    """The instance-free part of the Gaussian conditional given the sorted
+    coordinates ``cond``: the other coordinates, the gain S_rc S_cc^-1 and
+    the conditional covariance."""
+    free = np.ones(cov.shape[0], dtype=bool)
+    free[cond] = False
+    rest = np.flatnonzero(free)
+    by_cond = cov[:, cond]
+    S_rc = by_cond[rest]
+    try:
+        gain = np.linalg.solve(by_cond[cond], S_rc.T).T
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular conditioning block: {exc}")
+    cond_cov = cov[rest][:, rest] - gain @ S_rc.T
+    return rest, gain, 0.5 * (cond_cov + cond_cov.T)
 
 
 def conditional_gaussian_params(mean: np.ndarray, cov: np.ndarray,
@@ -67,24 +102,12 @@ def conditional_gaussian_params(mean: np.ndarray, cov: np.ndarray,
     """Gaussian conditional of the remaining coordinates given the values in
     ``cond_idx``; returns (conditional mean, conditional covariance)."""
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    p = mean.size
-    cond = sorted(int(i) for i in cond_idx)
-    if len(cond) == 0 or len(cond) == p:
+    cond = np.array(sorted(int(i) for i in cond_idx), dtype=np.intp)
+    if len(cond) == 0 or len(cond) == mean.size:
         raise ValueError("conditioning set must be a proper non-empty subset")
-    rest = [i for i in range(p) if i not in cond]
+    rest, gain, cond_cov = _conditional(np.asarray(cov, dtype=float), cond)
     x_cond = np.asarray(x_cond, dtype=float)
-    S_cc = cov[np.ix_(cond, cond)]
-    S_rc = cov[np.ix_(rest, cond)]
-    S_rr = cov[np.ix_(rest, rest)]
-    try:
-        gain = np.linalg.solve(S_cc, S_rc.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular conditioning block: {exc}")
-    cond_mean = mean[rest] + gain @ (x_cond - mean[cond])
-    cond_cov = S_rr - gain @ S_rc.T
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return cond_mean, cond_cov
+    return mean[rest] + gain @ (x_cond - mean[cond]), cond_cov
 
 
 class MarginalEmpiricalImputer:
@@ -97,6 +120,7 @@ class MarginalEmpiricalImputer:
         background.flags.writeable = False
         self.background = background
         self.p = background.shape[1]
+        self._columns = np.ascontiguousarray(background.T)
 
     @property
     def n_reference(self) -> int:
@@ -108,13 +132,22 @@ class MarginalEmpiricalImputer:
     def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
         """(n_reference * len(masks), p) rows, reference-row-major: row
         ``r * len(masks) + j`` is background row r with mask j's features
-        pinned to ``x``."""
+        pinned to ``x``. They are the transposed view of a feature-major
+        (p, n_reference * len(masks)) array, so each column is contiguous:
+        feature f's (n_reference, len(masks)) slab takes, per mask, the
+        background column f or, where the mask pins f, ``x[f]``."""
+        x = _instance(x, self.p)
         masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        # one gather per reference row: column j * p + f reads x[f] (source
-        # column p + f) where mask j pins feature f, else the background's f
-        source = np.hstack([self.background, np.broadcast_to(x, self.background.shape)])
-        cols = np.arange(self.p) + self.p * ((masks[:, None] >> np.arange(self.p)) & 1)
-        return source.take(cols.ravel(), axis=1).reshape(-1, self.p)
+        pinned = (masks >> np.arange(self.p)[:, None]) & 1
+        choices = np.empty((self.p, self.n_reference, 2))
+        choices[:, :, 0] = self._columns
+        choices[:, :, 1] = x[:, None]
+        slabs = np.empty((self.p, self.n_reference, masks.size))
+        for f in range(self.p):
+            # the bits never need clipping; unlike mode="raise", "clip"
+            # writes into the slab without a temporary copy
+            choices[f].take(pinned[f], axis=1, out=slabs[f], mode="clip")
+        return slabs.reshape(self.p, -1).T
 
 
 class ConditionalGaussianImputer:
@@ -123,7 +156,10 @@ class ConditionalGaussianImputer:
 
     One base normal matrix is drawn up front and reused for every coalition
     (common random numbers), which removes sampling noise from coalition
-    differences that share imputed coordinates.
+    differences that share imputed coordinates. A coalition's plan, its
+    gain and conditional Cholesky factor, does not depend on the instance:
+    each is solved once and kept while the plans fit in
+    ``_PLAN_BYTE_BUDGET``.
     """
 
     def __init__(self, mean: np.ndarray, covariance: np.ndarray,
@@ -151,6 +187,7 @@ class ConditionalGaussianImputer:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 37)))
         self._z = rng.standard_normal((self.n_samples, self.p))
         self._reference = mean + self._z @ chol.T
+        self._plans, self._plan_bytes = {}, 0
 
     @property
     def n_reference(self) -> int:
@@ -159,30 +196,44 @@ class ConditionalGaussianImputer:
     def reference_rows(self) -> np.ndarray:
         return self._reference
 
-    def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
-        """(n_samples * len(masks), p) rows in the marginal imputer's
-        reference-row-major order; each coalition has its own Gaussian
-        conditional, so each mask's rows are built alone."""
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-        rows = np.empty((self.n_samples, masks.size, self.p))
-        for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
-            cond = list(indices_from_mask(mask))
-            if len(cond) == 0:
-                block[:] = self._reference
-                continue
-            block[:] = x
-            if len(cond) == self.p:
-                continue
-            rest = [i for i in range(self.p) if i not in cond]
-            cond_mean, cond_cov = conditional_gaussian_params(
-                self.mean, self.covariance, cond, x[cond]
-            )
+    def _plan(self, mask: int):
+        """(cond, rest, gain, conditional Cholesky factor) of a proper
+        non-empty coalition, from the cache or solved, and kept while the
+        budget allows."""
+        plan = self._plans.get(mask)
+        if plan is None:
+            cond = np.array(indices_from_mask(mask), dtype=np.intp)
+            rest, gain, cond_cov = _conditional(self.covariance, cond)
             # PSD up to roundoff; clip tiny negative eigenvalues via jitter
             try:
                 chol = np.linalg.cholesky(cond_cov)
             except np.linalg.LinAlgError:
-                jitter = 1e-12 * np.eye(len(rest))
+                jitter = 1e-12 * np.eye(rest.size)
                 chol = np.linalg.cholesky(cond_cov + jitter)
+            plan = (cond, rest, gain, chol)
+            size = sum(a.nbytes for a in plan)
+            if self._plan_bytes + size <= _PLAN_BYTE_BUDGET:
+                self._plans[mask] = plan
+                self._plan_bytes += size
+        return plan
+
+    def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
+        """(n_samples * len(masks), p) rows in the marginal imputer's
+        reference-row-major order, written mask by mask; a call adds each
+        planned coalition's shift ``gain @ (x[cond] - mean[cond])`` to its
+        noise ``z[:, rest] @ chol.T``."""
+        x = _instance(x, self.p)
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        rows = np.empty((self.n_samples, masks.size, self.p))
+        for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
+            if mask == 0:
+                block[:] = self._reference
+                continue
+            block[:] = x
+            if mask == (1 << self.p) - 1:
+                continue
+            cond, rest, gain, chol = self._plan(mask)
+            cond_mean = self.mean[rest] + gain @ (x[cond] - self.mean[cond])
             block[:, rest] = cond_mean + self._z[:, rest] @ chol.T
         return rows.reshape(-1, self.p)
 
@@ -316,9 +367,7 @@ class SurvivalGame:
     _at_nodes = False
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=float)
-        if x.shape != (self.imputer.p,):
-            raise ValueError("instance length must match the imputer")
+        x = np.ascontiguousarray(_instance(self.x, self.imputer.p))
         x.flags.writeable = False
         self.x = x
 

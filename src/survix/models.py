@@ -8,7 +8,8 @@ vocabulary is closed ('constant' or 'log1p'), so the risk score is
 G(t|x) = c0(x) + c1(x) * log1p(t) and every scale, survival included,
 evaluates in closed form: the cumulative hazard is
 lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. The loads (c0, c1) are
-accumulated term by term from contiguous copies of the used feature columns.
+accumulated term by term from the used feature columns, each contiguous
+(read in place from column-major rows, else copied).
 A time-independent model (c1 = 0) has one log-hazard and one hazard per row,
 log(lam) + c0 and lam * e^c0, computed on the rows and broadcast over the
 grid; time-dependent log-hazards and hazards take the term-matrix product.
@@ -117,8 +118,9 @@ class RiskScoreSpec:
         return all(not t.time_dependent for t in self.terms)
 
     def _columns(self, X: np.ndarray) -> Tuple[int, dict]:
-        """Row count of X and a contiguous copy of each feature column some
-        term uses, by feature index."""
+        """Row count of X and each feature column some term uses, by feature
+        index, contiguous: read in place from column-major X, such as the
+        marginal imputer's rows, else copied."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")

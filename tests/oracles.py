@@ -7,9 +7,11 @@ cumulative hazard, one-point model and Cox evaluations, the two-array Cox
 survival matrix, the Cox derivatives from (n, p, p) moment sums, one
 event-time draw, the scenario catalogue with every entry built, the
 term-local Moebius coefficients of a log-hazard game, the discrete-derivative
-form of the Shapley interaction index, and the encoding of feature indices as
-a coalition mask). Value tables are the library's plain (2^p, T) arrays, whose
-row index is the coalition mask.
+form of the Shapley interaction index, the encoding of feature indices as
+a coalition mask, and the imputed rows of both imputers built as they were
+before the feature-major layout and the per-coalition plans). Value tables
+are the library's plain (2^p, T) arrays, whose row index is the coalition
+mask.
 """
 
 import math
@@ -18,7 +20,7 @@ from typing import Dict, Sequence
 import numpy as np
 from scipy import integrate
 
-from survix.core import PredictionTarget, coalition_iter, mask_size
+from survix.core import PredictionTarget, coalition_iter, indices_from_mask, mask_size
 from survix.interactions import _submasks
 from survix.models import (
     CoxModel,
@@ -367,3 +369,43 @@ def mask_from_indices(indices: Sequence[int], p: int) -> int:
             raise ValueError(f"feature index {i} out of range for p={p}")
         mask |= 1 << i
     return mask
+
+
+def marginal_rows(background: np.ndarray, x: np.ndarray, masks) -> np.ndarray:
+    """Reference-row-major rows of the marginal imputer, C-ordered, by one
+    gather per background row: column j * p + f reads x[f] (source column
+    p + f) where mask j pins feature f, else the background's f."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    p = background.shape[1]
+    source = np.hstack([background, np.broadcast_to(x, background.shape)])
+    cols = np.arange(p) + p * ((masks[:, None] >> np.arange(p)) & 1)
+    return source.take(cols.ravel(), axis=1).reshape(-1, p)
+
+
+def conditional_rows(imputer, x: np.ndarray, masks) -> np.ndarray:
+    """Reference-row-major rows of a ``ConditionalGaussianImputer``, solving
+    each coalition's Gaussian conditional and its Cholesky factor (with the
+    1e-12 jitter when the factor fails) on every call."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    p, mean, cov = imputer.p, imputer.mean, imputer.covariance
+    rows = np.empty((imputer.n_samples, masks.size, p))
+    for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
+        cond = list(indices_from_mask(mask))
+        if len(cond) == 0:
+            block[:] = imputer.reference_rows()
+            continue
+        block[:] = x
+        if len(cond) == p:
+            continue
+        rest = [i for i in range(p) if i not in cond]
+        S_rc = cov[np.ix_(rest, cond)]
+        gain = np.linalg.solve(cov[np.ix_(cond, cond)], S_rc.T).T
+        cond_mean = mean[rest] + gain @ (np.asarray(x[cond], dtype=float) - mean[cond])
+        cond_cov = cov[np.ix_(rest, rest)] - gain @ S_rc.T
+        cond_cov = 0.5 * (cond_cov + cond_cov.T)
+        try:
+            chol = np.linalg.cholesky(cond_cov)
+        except np.linalg.LinAlgError:
+            chol = np.linalg.cholesky(cond_cov + 1e-12 * np.eye(len(rest)))
+        block[:, rest] = cond_mean + imputer._z[:, rest] @ chol.T
+    return rows.reshape(-1, p)

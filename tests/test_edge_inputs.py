@@ -1,7 +1,7 @@
 """Edge inputs through ``explain``: one feature, one timepoint, one
 reference row, a bounded cumulative hazard, a near-singular conditional
-covariance, an order outside 1..p and a wrongly shaped prediction either
-work or fail with a clear error."""
+covariance, an order outside 1..p, a wrongly shaped prediction and an
+instance of the wrong length either work or fail with a clear error."""
 
 import os
 import re
@@ -197,3 +197,20 @@ def test_wrongly_shaped_prediction_is_rejected(bad):
         estimate(game, 2, "mc", 6, 1)
     with pytest.raises(ValueError, match=_shape_message(14, 5, bad)):
         game.values_for_masks([1, 2])
+
+
+# a length-1 instance was once broadcast over all p features
+WRONG_INSTANCES = {"length_1": [9.0], "length_2": [1.0, 2.0], "length_4": [1.0, 2.0, 3.0, 4.0],
+                   "row_matrix": [[1.0, 2.0, 3.0]], "scalar": 9.0}
+
+
+@pytest.mark.parametrize("bad", sorted(WRONG_INSTANCES))
+@pytest.mark.parametrize("conditional", [False, True], ids=["marginal", "conditional"])
+def test_rows_for_rejects_an_instance_that_is_not_a_length_p_vector(conditional, bad):
+    imputer = (ConditionalGaussianImputer(np.zeros(3), np.eye(3), n_samples=4) if conditional
+               else MarginalEmpiricalImputer(np.arange(12.0).reshape(4, 3)))
+    x = np.array(WRONG_INSTANCES[bad])
+    with pytest.raises(ValueError, match=re.escape(
+            f"instance must be a vector of length p = 3, got shape {x.shape}")):
+        imputer.rows_for(x, [3])
+    assert imputer.rows_for(np.array([9.0, 8.0, 7.0]), [3]).shape == (4, 3)

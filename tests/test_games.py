@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from survix import games
-from survix.core import PredictionTarget, build_time_grid
+from survix.approximators import estimate
+from survix.core import PredictionTarget, build_time_grid, indices_from_mask
 from survix.games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
@@ -10,6 +12,7 @@ from survix.games import (
     conditional_gaussian_params,
     evaluate_all_coalitions,
 )
+from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import build_scenario, dep_demo_covariance, pairwise_covariance
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
@@ -214,6 +217,103 @@ class TestBatchedRows:
         assert msg == ("prediction failed for 500 coalitions, starting ['1', '2', "
                        "'1+2', '3', '1+3', '2+3', '1+2+3', '4']: overflow in batch")
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+# features 0 and 1 are perfectly correlated up to the last bits: the
+# conditional variance of one given the other rounds to 1.1e-16, 0 or
+# -1.1e-16 by coalition, and masks 2, 5 and 6 need the 1e-12 jitter
+JITTER_COV = np.array([[2.6032931990309582, 1.317452357841548, 0.0],
+                       [1.317452357841548, 0.6667250219177535, 0.0],
+                       [0.0, 0.0, 1.0]])
+
+
+def _mask_lists(p, rng):
+    """Every mask in descending order; the empty and full masks alone;
+    random masks with duplicates, unsorted."""
+    full = (1 << p) - 1
+    drawn = rng.integers(0, full + 1, 30)
+    return [np.arange(full + 1)[::-1], [0], [full],
+            np.concatenate([drawn, [full, 0], drawn[:7], [0]])]
+
+
+class TestRowsMatchTheOracles:
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("p", [1, 3, 10, 12])
+    def test_marginal_rows_are_the_gathered_rows(self, p, n):
+        rng = np.random.default_rng(100 * p + n)
+        background, x = rng.standard_normal((n, p)), rng.standard_normal(p)
+        imputer = MarginalEmpiricalImputer(background)
+        for masks in _mask_lists(p, rng):
+            rows = imputer.rows_for(x, masks)
+            assert rows.flags.f_contiguous
+            assert np.array_equal(rows, oracles.marginal_rows(background, x, masks))
+
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("p", [1, 3, 10, 12])
+    def test_conditional_rows_are_the_per_call_solves(self, p, n):
+        rng = np.random.default_rng(100 * p + n)
+        imputer = ConditionalGaussianImputer(rng.standard_normal(p), pairwise_covariance(p, 0.4),
+                                             n_samples=n, seed=p)
+        x = rng.standard_normal(p)
+        for masks in _mask_lists(p, rng):
+            want = oracles.conditional_rows(imputer, x, masks)
+            # a second call reads the plans the first one made
+            for _ in range(2):
+                assert np.array_equal(imputer.rows_for(x, masks), want)
+
+    def test_conditional_rows_with_the_jitter(self):
+        needs_jitter = []
+        for mask in range(1, 7):
+            cond_cov = games._conditional(JITTER_COV, np.array(indices_from_mask(mask)))[2]
+            try:
+                np.linalg.cholesky(cond_cov)
+            except np.linalg.LinAlgError:
+                needs_jitter.append(mask)
+        assert needs_jitter == [2, 5, 6]
+        imputer = ConditionalGaussianImputer(np.zeros(3), JITTER_COV, n_samples=5, seed=1)
+        x = np.array([0.4, -1.3, 0.8])
+        masks = np.arange(8)[::-1]
+        rows = imputer.rows_for(x, masks)
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows, oracles.conditional_rows(imputer, x, masks))
+
+
+def test_plan_cache_stays_under_its_byte_budget(monkeypatch):
+    # 50 Monte-Carlo runs at p = 30 solve about 25k coalitions, three times
+    # what the budget holds
+    solved, solve = [], games._conditional
+
+    def recorded(cov, cond):
+        solved.append(sum(1 << int(i) for i in cond))
+        return solve(cov, cond)
+    monkeypatch.setattr(games, "_conditional", recorded)
+    p = 30
+    model = GroundTruthModel(0.03, RiskScoreSpec(p, (
+        RiskTerm((0,), 0.5), RiskTerm((3, 17), -0.4), RiskTerm((29,), 0.2, time="log1p"))))
+    imputer = ConditionalGaussianImputer(np.zeros(p), pairwise_covariance(p, 0.3),
+                                         n_samples=3, seed=2)
+    x = np.random.default_rng(4).standard_normal(p)
+    game = SurvivalGame(model.prediction_function(PredictionTarget.LOG_HAZARD), x, imputer,
+                        build_time_grid(70, 3))
+    first = None
+    for seed in range(50):
+        estimate(game, 1, "mc", 512, seed)
+        assert imputer._plan_bytes <= games._PLAN_BYTE_BUDGET
+        assert imputer._plan_bytes == sum(a.nbytes for plan in imputer._plans.values()
+                                          for a in plan)
+        if first is None:
+            first = {mask: imputer.rows_for(x, mask) for mask in imputer._plans}
+    # the budget filled up: the first run's plans are kept, and a coalition
+    # past the budget is solved again on each call, to the same rows
+    assert imputer._plan_bytes > games._PLAN_BYTE_BUDGET - 16 * p * p
+    assert set(first) <= set(imputer._plans)
+    unkept = [mask for mask in solved if mask not in imputer._plans][-20:]
+    assert len(unkept) == 20
+    for mask, rows in first.items():
+        assert np.array_equal(imputer.rows_for(x, mask), rows)
+    rows = imputer.rows_for(x, unkept)
+    assert np.array_equal(imputer.rows_for(x, unkept), rows)
+    assert np.array_equal(rows, oracles.conditional_rows(imputer, x, unkept))
 
 
 class TestValueTable:

@@ -3,7 +3,8 @@
 Every catalogued model predicts bit for bit what the term-matrix predictor in
 ``tests/oracles.py`` predicts, at every batch size. A time-independent model's
 rows do not depend on their batch on any scale, and survival rows on none; nor
-do a Cox model's linear predictor and survival rows.
+do a Cox model's linear predictor and survival rows. No prediction depends on
+whether X is row- or column-major, as the marginal imputer's rows are.
 Models with eight or more terms of one kind sum their loads in term order;
 the oracle's numpy row sum does too on two or more rows, but pairs the terms
 differently on one row, so those models are held to the forward-error bound
@@ -128,13 +129,17 @@ def test_rows_predict_the_same_at_any_batch_size(name, m, data):
         assert np.array_equal(whole[start], model.predict(X[start], TIMES, target)[0])
 
 
+def _cox_model(p, rng):
+    return CoxModel(beta=rng.normal(0.0, 0.5, p), mean=rng.normal(size=p),
+                    baseline_times=np.arange(1.0, 51.0),
+                    baseline_cumhaz=np.cumsum(rng.uniform(0.0, 0.02, 50)))
+
+
 @settings(max_examples=60)
 @given(p=st.integers(1, 12), m=st.integers(1, 80), data=st.data())
 def test_cox_rows_predict_the_same_at_any_batch_size(p, m, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    model = CoxModel(beta=rng.normal(0.0, 0.5, p), mean=rng.normal(size=p),
-                     baseline_times=np.arange(1.0, 51.0),
-                     baseline_cumhaz=np.cumsum(rng.uniform(0.0, 0.02, 50)))
+    model = _cox_model(p, rng)
     start = data.draw(st.integers(0, m - 1))
     stop = data.draw(st.integers(start + 1, m))
     X = 1.5 * rng.standard_normal((m, p))
@@ -143,6 +148,26 @@ def test_cox_rows_predict_the_same_at_any_batch_size(p, m, data):
         whole = predict(X)
         assert np.array_equal(whole[start:stop], predict(X[start:stop]))
         assert np.array_equal(whole[start], predict(X[start])[0])
+
+
+LAYOUT_GRIDS = {T: build_time_grid(T_MAX, T).points for T in (1, 2, 41)}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + sorted(MANY) + ["cox"])
+def test_predictions_do_not_depend_on_memory_layout(name):
+    if name == "cox":
+        model = _cox_model(5, np.random.default_rng(3))
+        scales = [model.prediction_function()]
+    else:
+        model = {**CATALOG, **MANY}[name]
+        scales = [model.prediction_function(t) for t in PredictionTarget]
+        scales.append(model.cumulative_hazard_matrix)
+    X = features(model, 300)
+    F = np.asfortranarray(X)
+    assert F.flags.f_contiguous and not F.flags.c_contiguous
+    for predict in scales:
+        for times in LAYOUT_GRIDS.values():
+            assert np.array_equal(predict(X, times), predict(F, times))
 
 
 def test_overflowing_row_raises_on_the_per_row_path():

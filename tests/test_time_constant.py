@@ -180,25 +180,6 @@ def test_bad_time_basis_is_rejected(bad):
 # outputs match the unmarked path
 # ---------------------------------------------------------------------------
 
-class _SharedRows:
-    """Imputer proxy that builds the rows of each (instance, masks) request
-    once: the marked and the stripped run of a case share the conditional
-    imputer's per-coalition solves."""
-
-    def __init__(self, inner):
-        self._inner, self.p, self.n_reference = inner, inner.p, inner.n_reference
-        self._rows = {}
-
-    def reference_rows(self):
-        return self._inner.reference_rows()
-
-    def rows_for(self, x, masks):
-        key = (x.tobytes(), np.asarray(masks, dtype=np.int64).tobytes())
-        if key not in self._rows:
-            self._rows[key] = self._inner.rows_for(x, masks)
-        return self._rows[key]
-
-
 def _case(name, target, T, conditional):
     model = CATALOG[name]
     p = model.p
@@ -206,8 +187,8 @@ def _case(name, target, T, conditional):
     features = sample_features(FeatureSampler.standard(p, seed=11), n_ref + 1)
     x, background = features[0], features[1:]
     if conditional:
-        imputer = _SharedRows(ConditionalGaussianImputer(
-            np.zeros(p), pairwise_covariance(p, 0.3), n_samples=n_ref, seed=5))
+        imputer = ConditionalGaussianImputer(
+            np.zeros(p), pairwise_covariance(p, 0.3), n_samples=n_ref, seed=5)
     else:
         imputer = MarginalEmpiricalImputer(background)
     predict = model.prediction_function(target)
