@@ -142,9 +142,7 @@ def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
             rest = rests[K]
             m_size = int(rng.integers(0, len(rest) + 1))
             chosen = rng.choice(len(rest), size=m_size, replace=False) if m_size else []
-            M = 0
-            for c in chosen:
-                M |= 1 << rest[int(c)]
+            M = sum(1 << rest[int(c)] for c in chosen)
             new = {M | L for L in subs[K]} - planned
             if len(planned) + len(new) > budget:
                 exhausted = True
@@ -243,10 +241,7 @@ def _sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
             if counts[s] > remaining:
                 continue
             for combo in itertools.combinations(range(p), s):
-                mask = 0
-                for j in combo:
-                    mask |= 1 << j
-                chosen.append(mask)
+                chosen.append(sum(1 << j for j in combo))
                 weights.append(mass[s] / counts[s])
             remaining -= counts[s]
             open_sizes.remove(s)
@@ -287,17 +282,10 @@ def _sample_masks_of_size(p: int, s: int, n: int, rng: np.random.Generator) -> L
             if combo not in seen:
                 seen.add(combo)
                 picked.append(combo)
-    out = []
-    for combo in picked:
-        mask = 0
-        for j in combo:
-            mask |= 1 << j
-        out.append(mask)
-    return out
+    return [sum(1 << j for j in combo) for combo in picked]
 
 
-def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int,
-                      fallback_to_exact: bool = True):
+def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int):
     """Kernel-weighted least squares on the order-k indicator basis.
 
     Coalitions are sampled from the Shapley kernel distribution (without
@@ -306,9 +294,14 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int,
     budget. Coefficients of the non-empty basis functions are the attribution
     estimates per timepoint.
     """
-    p = game.p
-    if fallback_to_exact and budget >= (1 << p):
+    if budget >= (1 << game.p):
         return _exact_fallback(game, k)
+    return _regression_fit(game, k, budget, seed)
+
+
+def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
+    """``approx_regression``'s fit; at full enumeration, of the full design."""
+    p = game.p
     basis = list(coalition_iter(p, k))  # leading entry is the empty set
     n_basis = len(basis)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))

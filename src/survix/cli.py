@@ -25,6 +25,7 @@ from .core import (
     PredictionTarget,
     SurvivalDataset,
     build_time_grid,
+    coalition_label,
 )
 from .games import ConditionalGaussianImputer, MarginalEmpiricalImputer
 from .interactions import ApproximatorConfig, explain
@@ -78,18 +79,15 @@ class RunConfig:
 
 
 def _parse_scenario(value: str):
-    if value == "dep_demo":
-        return value
-    try:
-        scenario = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown scenario {value!r}")
-    if scenario not in SCENARIO_IDS:
-        raise argparse.ArgumentTypeError(f"scenario must be 1..10 or dep_demo")
-    return scenario
+    scenarios = {str(scenario): scenario for scenario in SCENARIO_IDS}
+    if value not in scenarios:
+        raise argparse.ArgumentTypeError(f"unknown scenario {value}; "
+                                         "choose 1..10 or dep_demo")
+    return scenarios[value]
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The parser and, by name, its subcommands' parsers."""
     parser = _Parser(prog="survix", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -98,123 +96,126 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", type=Path, default=None,
                         help=f"output directory (default ${ENV_OUT} or ./survix_out)")
     common.add_argument("--config", type=Path, default=None,
-                        help="JSON file with default option values")
-    common.add_argument("--seed", type=int, default=None)
+                        help="JSON file of option values, parsed as flags before "
+                             "the command line's own (a manifest replays its run)")
+    common.add_argument("--seed", type=int, default=7)
+    cohort = argparse.ArgumentParser(add_help=False)
+    cohort.add_argument("--scenario", type=_parse_scenario, default=1)
+    cohort.add_argument("--n", type=int, default=1000,
+                        help="simulated dataset size (explain: when --data is omitted)")
+    cohort.add_argument("--rho", type=float, default=0.0)
+    cohort.add_argument("--t-max", type=float, default=T_MAX)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, cohort],
                            help="write a simulated dataset CSV plus metadata")
-    p_sim.add_argument("--scenario", type=_parse_scenario, default=None)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--rho", type=float, default=None)
-    p_sim.add_argument("--t-max", type=float, default=None)
-    p_sim.add_argument("--split", action="store_true", default=None,
+    p_sim.add_argument("--split", action="store_true",
                        help="also write an 80/20 train/test split")
 
-    p_exp = sub.add_parser("explain", parents=[common],
+    p_exp = sub.add_parser("explain", parents=[common, cohort],
                            help="compute attribution curves for one instance")
-    p_exp.add_argument("--scenario", type=_parse_scenario, default=None)
     p_exp.add_argument("--model-file", type=Path, default=None,
                        help="risk-model or Cox-model JSON instead of a scenario")
     p_exp.add_argument("--data", type=Path, default=None,
                        help="dataset CSV; simulated from the scenario if omitted")
-    p_exp.add_argument("--instance", type=str, default=None,
+    p_exp.add_argument("--instance", type=str, default="0",
                        help="row index into the dataset, or comma-separated values")
     p_exp.add_argument("--target", choices=[t.value for t in PredictionTarget],
-                       default=None)
-    p_exp.add_argument("--order", type=int, default=None)
+                       default="loghazard")
+    p_exp.add_argument("--order", type=int, default=2)
     p_exp.add_argument("--method", choices=["exact", "mc", "perm", "regression"],
-                       default=None)
-    p_exp.add_argument("--budget", type=int, default=None)
-    p_exp.add_argument("--timepoints", type=int, default=None)
-    p_exp.add_argument("--t-max", type=float, default=None)
-    p_exp.add_argument("--n", type=int, default=None,
-                       help="simulated dataset size when --data is omitted")
-    p_exp.add_argument("--rho", type=float, default=None)
+                       default="exact")
+    p_exp.add_argument("--budget", type=int, default=256)
+    p_exp.add_argument("--timepoints", type=int, default=41)
     p_exp.add_argument("--imputation", choices=["marginal", "conditional"],
-                       default=None)
-    p_exp.add_argument("--background-size", type=int, default=None,
+                       default="marginal")
+    p_exp.add_argument("--background-size", type=int, default=0,
                        help="subsample the marginal background for speed")
-    p_exp.add_argument("--n-samples", type=int, default=None,
+    p_exp.add_argument("--n-samples", type=int, default=1000,
                        help="Monte-Carlo draws for conditional imputation")
-    p_exp.add_argument("--smooth", action="store_true", default=None)
-    p_exp.add_argument("--svg", action="store_true", default=None)
+    p_exp.add_argument("--smooth", action="store_true")
+    p_exp.add_argument("--svg", action="store_true")
 
     p_val = sub.add_parser("validate", parents=[common],
                            help="run the decomposition-theory check suites")
-    p_val.add_argument("--only", type=str, default=None,
+    p_val.add_argument("--only", type=str, default="",
                        help=f"comma-separated subset of {sorted(SUITES)}")
-    p_val.add_argument("--tol", type=float, default=None,
+    p_val.add_argument("--tol", type=float, default=0.0,
                        help="override the time-dependence classification tolerance")
 
     p_ben = sub.add_parser("benchmark", parents=[common],
                            help="error-vs-budget comparison of the estimators")
-    p_ben.add_argument("--budgets", type=str, default=None,
+    p_ben.add_argument("--budgets", type=str, default="64,128,256,512",
                        help="comma-separated evaluation budgets")
-    p_ben.add_argument("--reps", type=int, default=None)
-    p_ben.add_argument("--p", type=int, default=None)
-    p_ben.add_argument("--timepoints", type=int, default=None)
-    p_ben.add_argument("--order", type=int, default=None)
-    return parser
+    p_ben.add_argument("--reps", type=int, default=30)
+    p_ben.add_argument("--p", type=int, default=10)
+    p_ben.add_argument("--timepoints", type=int, default=11)
+    p_ben.add_argument("--order", type=int, default=2)
+    return parser, sub.choices
 
 
-_DEFAULTS = {
-    "simulate": {"scenario": 1, "n": 1000, "seed": 7, "rho": 0.0,
-                 "t_max": T_MAX, "split": False},
-    "explain": {"scenario": 1, "target": "loghazard", "order": 2,
-                "method": "exact", "budget": 256, "timepoints": 41,
-                "t_max": T_MAX, "n": 1000, "seed": 7, "rho": 0.0,
-                "imputation": "marginal", "background_size": 0,
-                "n_samples": 1000, "smooth": False, "svg": False},
-    "validate": {"seed": 7, "only": "", "tol": 0.0},
-    "benchmark": {"budgets": "64,128,256,512", "reps": 30, "seed": 7,
-                  "p": 10, "timepoints": 11, "order": 2},
-}
+def _config_flags(path: Path, parser: argparse.ArgumentParser) -> list:
+    """A config file's options, or a manifest's, as flags of ``parser``:
+    ``"t_max": 9`` becomes ``--t-max=9`` and ``true`` a bare flag; ``null``,
+    ``false`` and keys that name no option of the subcommand are skipped."""
+    with open(path) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    names = {a.dest: a.option_strings[0] for a in parser._actions
+             if a.dest not in ("help", "config", "out")}
+    flags = []
+    for key, value in loaded.get("options", loaded).items():
+        if key in names and value is not None and value is not False:
+            flags.append(names[key] if value is True else f"{names[key]}={value}")
+    return flags
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: explicit flags > config file > built-in defaults."""
-    sub = args.subcommand
-    options = dict(_DEFAULTS[sub])
+def _resolve(argv: list) -> RunConfig:
+    """Flags > config file > defaults: argparse parses the config's flags
+    between the subcommand (argv[0]; the top level takes no other argument)
+    and the command line's own, so it checks both alike and the later wins."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.get("options", loaded).items():
-            if key in options:
-                options[key] = value
-    for key, value in vars(args).items():
-        if key in ("subcommand", "config", "out"):
-            continue
-        if value is not None:
-            options[key] = value
-    out_dir = args.out or Path(os.environ.get(ENV_OUT, "survix_out"))
-    out_dir = Path(out_dir)
-    _validate_options(sub, options)
+        try:
+            flags = _config_flags(args.config, commands[args.subcommand])
+        except (OSError, ValueError) as exc:
+            commands[args.subcommand].error(f"--config: {exc}")
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("subcommand", "config", "out")}
+    _validate_options(args.subcommand, options)
+    out_dir = Path(args.out or os.environ.get(ENV_OUT, "survix_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    return RunConfig(subcommand=sub, options=options, out_dir=out_dir)
+    return RunConfig(subcommand=args.subcommand, options=options, out_dir=out_dir)
+
+
+def _budgets(text: str) -> list:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _suites(text: str) -> list:
+    return [tok for tok in text.split(",") if tok]
 
 
 def _validate_options(sub: str, opt: dict) -> None:
+    """Checks across options, or of a value beyond its type and choices."""
     def bad(msg):
         print(f"survix {sub}: error: {msg}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
     if sub in ("simulate", "explain"):
-        if opt.get("n", 1) < 1:
+        if opt["n"] < 1:
             bad("--n must be >= 1")
-        if not 0 <= opt.get("rho", 0.0) < 1:
+        if not 0 <= opt["rho"] < 1:
             bad("--rho must lie in [0, 1)")
-        if opt.get("t_max", 1.0) <= 0:
+        if opt["t_max"] <= 0:
             bad("--t-max must be positive")
     if sub == "explain":
-        if opt.get("scenario") is None and opt.get("model_file") is None:
-            bad("one of --scenario or --model-file is required")
-        if opt.get("model_file") is not None and opt.get("data") is None:
+        if opt["model_file"] is not None and opt["data"] is None:
             bad("--model-file requires --data")
-        if opt.get("model_file") is None:
-            try:  # a config file's scenario has not been parsed
-                p = build_scenario(opt["scenario"]).p
-            except ValueError as exc:
-                bad(str(exc))
+        if opt["model_file"] is None:
+            p = build_scenario(opt["scenario"]).p
             if not 1 <= opt["order"] <= p:
                 bad(f"--order must lie in 1..{p}")
         elif opt["order"] < 1:
@@ -233,18 +234,15 @@ def _validate_options(sub: str, opt: dict) -> None:
         if not 1 <= opt["order"] <= opt["p"]:
             bad(f"--order must lie in 1..{opt['p']}")
         try:
-            budgets = [int(tok) for tok in str(opt["budgets"]).split(",")]
+            budgets = _budgets(opt["budgets"])
         except ValueError:
             bad("--budgets must be comma-separated integers")
         if max(budgets) > (1 << opt["p"]):
             bad("budget exceeds full enumeration for this p")
-        opt["budgets"] = budgets
-    if sub == "validate" and opt.get("only"):
-        names = [tok for tok in str(opt["only"]).split(",") if tok]
-        unknown = [n for n in names if n not in SUITES]
+    if sub == "validate":
+        unknown = [n for n in _suites(opt["only"]) if n not in SUITES]
         if unknown:
             bad(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
-        opt["only"] = names
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _load_model(opt: dict):
     """Returns (predict builder, model tag). Model files hold either a
     risk-model spec (terms) or a Cox export (beta/baseline)."""
-    if opt.get("model_file"):
+    if opt["model_file"]:
         with open(opt["model_file"]) as fh:
             payload = json.load(fh)
         if "terms" in payload:
@@ -286,8 +284,6 @@ def _load_model(opt: dict):
 
 
 def _resolve_instance(token: str, data: SurvivalDataset | None, p: int):
-    if token is None:
-        token = "0"
     if "," in token:
         x = np.array([float(v) for v in token.split(",")])
         if x.size != p:
@@ -305,13 +301,13 @@ def cmd_explain(cfg: RunConfig) -> int:
     opt = cfg.options
     target = PredictionTarget(opt["target"])
     predict_builder, model_tag = _load_model(opt)
-    if opt.get("data"):
+    if opt["data"]:
         data = SurvivalDataset.from_csv(opt["data"])
     else:
         data, _ = simulate_dataset(opt["scenario"], n=opt["n"],
                                    seed=opt["seed"], rho=opt["rho"],
                                    t_max=opt["t_max"])
-    x = _resolve_instance(opt.get("instance"), data, data.p)
+    x = _resolve_instance(opt["instance"], data, data.p)
 
     background = data.features
     if opt["background_size"] and opt["background_size"] < background.shape[0]:
@@ -320,7 +316,7 @@ def cmd_explain(cfg: RunConfig) -> int:
         )
         background = background[pick]
     if opt["imputation"] == "conditional":
-        cov = dep_demo_covariance() if opt.get("scenario") == "dep_demo" else \
+        cov = dep_demo_covariance() if opt["scenario"] == "dep_demo" else \
             pairwise_covariance(data.p, opt["rho"])
         imputer = ConditionalGaussianImputer(np.zeros(data.p), cov,
                                              n_samples=opt["n_samples"],
@@ -357,8 +353,8 @@ def cmd_explain(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     opt = cfg.options
     kwargs = {}
-    only = opt.get("only") or None
-    if opt.get("tol"):
+    only = _suites(opt["only"]) or None
+    if opt["tol"]:
         # the tolerance knob only applies to the classification suites
         only = only or ["thm1", "thm2"]
         kwargs["tol"] = opt["tol"]
@@ -379,7 +375,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_benchmark(cfg: RunConfig) -> int:
     opt = cfg.options
-    rows = run_benchmark(seed=opt["seed"], budgets=opt["budgets"],
+    rows = run_benchmark(seed=opt["seed"], budgets=_budgets(opt["budgets"]),
                          repetitions=opt["reps"], order=opt["order"],
                          p=opt["p"], n_timepoints=opt["timepoints"])
     path = cfg.out_dir / "benchmark.csv"
@@ -407,10 +403,9 @@ _PALETTE = ["#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
             "#a6761d", "#666666", "#1f78b4", "#b2182b"]
 
 
-def _write_svg(expl: InteractionExplanation, path, width=640, height=400) -> None:
+def _write_svg(expl: InteractionExplanation, path) -> None:
     """One polyline per coalition; a thin plot-data writer, not a chart engine."""
-    from .core import coalition_label
-
+    width, height = 640, 400
     margin = 45
     ts = expl.grid.points
     curves = list(expl.values.items())
@@ -447,15 +442,10 @@ def _write_svg(expl: InteractionExplanation, path, width=640, height=400) -> Non
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = _resolve(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    try:
-        cfg = _resolve(args)
-    except SystemExit as exc:
-        return exc.code
     cfg.write_manifest()
     handler = {
         "simulate": cmd_simulate,

@@ -37,15 +37,16 @@ class PredictionTarget(Enum):
 # ---------------------------------------------------------------------------
 
 def indices_from_mask(mask: int) -> Indices:
-    """Decode a bitmask into a sorted tuple of 0-based feature indices."""
+    """Decode a non-negative bitmask into a sorted tuple of 0-based feature
+    indices, one step per set bit."""
+    mask = int(mask)
+    if mask < 0:
+        raise ValueError(f"coalition mask {mask} is negative")
     out = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

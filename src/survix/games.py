@@ -79,6 +79,15 @@ def _instance(x, p: int) -> np.ndarray:
     return x
 
 
+def _masks(masks, p: int) -> np.ndarray:
+    """``masks`` as a flat int64 array of coalitions of p features."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    bad = masks[(masks < 0) | (masks >= 1 << p)]
+    if bad.size:
+        raise ValueError(f"coalition mask {int(bad[0])} outside 0..2^{p} - 1 = {(1 << p) - 1}")
+    return masks
+
+
 def _conditional(cov: np.ndarray, cond: np.ndarray):
     """The instance-free part of the Gaussian conditional given the sorted
     coordinates ``cond``: the other coordinates, the gain S_rc S_cc^-1 and
@@ -137,7 +146,7 @@ class MarginalEmpiricalImputer:
         feature f's (n_reference, len(masks)) slab takes, per mask, the
         background column f or, where the mask pins f, ``x[f]``."""
         x = _instance(x, self.p)
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        masks = _masks(masks, self.p)
         pinned = (masks >> np.arange(self.p)[:, None]) & 1
         choices = np.empty((self.p, self.n_reference, 2))
         choices[:, :, 0] = self._columns
@@ -223,7 +232,7 @@ class ConditionalGaussianImputer:
         planned coalition's shift ``gain @ (x[cond] - mean[cond])`` to its
         noise ``z[:, rest] @ chol.T``."""
         x = _instance(x, self.p)
-        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        masks = _masks(masks, self.p)
         rows = np.empty((self.n_samples, masks.size, self.p))
         for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
             if mask == 0:
@@ -322,7 +331,7 @@ def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
     """(len(X), len(masks), w) value curves of each coalition for each row of
     X at the w nodes (``_width``), given the (T,) ``baseline``; the empty and
     full coalitions need no imputation."""
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    masks = _masks(masks, imputer.p)
     T, n_ref, nodes = len(grid), imputer.n_reference, _width(predict, grid)[0]
     w, points, baseline = nodes.size, grid.points[nodes], baseline[nodes]
     out = np.zeros((X.shape[0], masks.size, w))

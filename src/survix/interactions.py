@@ -110,14 +110,6 @@ def _bernoulli_fractions(n: int):
     return tuple(bern)
 
 
-def _sizes(masks: np.ndarray, p: int) -> np.ndarray:
-    """Number of features in each coalition mask over p features."""
-    sizes = np.zeros(masks.shape, dtype=np.int64)
-    for j in range(p):
-        sizes += (masks >> j) & 1
-    return sizes
-
-
 def _supersets(targets: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
     """(len(targets), len(extras)) supersets of coalitions of one size s:
     each mask in ``extras`` picks features among the p - s outside a target,
@@ -138,12 +130,12 @@ def _aggregation_plan(p: int, k: int):
     where each target's run starts."""
     bern = np.array([float(b) for b in _bernoulli_fractions(k)])
     masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]  # no empty set
-    sizes = _sizes(masks, p)
+    sizes = np.bitwise_count(masks)
     lengths = np.zeros(masks.size, dtype=np.int64)
     runs = []
     for s in range(1, k + 1):
         extras = np.sort(np.fromiter(coalition_iter(p - s, k - s), dtype=np.int64))
-        weights = bern[_sizes(extras, p - s)]
+        weights = bern[np.bitwise_count(extras)]
         at = np.flatnonzero(sizes == s)
         runs.append((at, _supersets(masks[at], p, extras[weights != 0.0]),
                      weights[weights != 0.0]))
@@ -203,12 +195,12 @@ def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray],
     the weights of the Moebius coefficients each target receives. Targets of
     one size share their weights."""
     masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
-    sizes = _sizes(masks, p)
+    sizes = np.bitwise_count(masks)
     out = []
     for s in range(1, k + 1):
         extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
         weights = np.array([_moebius_redistribution(s, r, k)
-                            for r in range(s, p + 1)])[_sizes(extras, p - s)]
+                            for r in range(s, p + 1)])[np.bitwise_count(extras)]
         targets = masks[sizes == s]
         supers = _supersets(targets, p, extras[weights != 0.0])
         coeffs = weights[weights != 0.0]

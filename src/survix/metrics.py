@@ -22,15 +22,13 @@ class LocalAccuracyCurve:
 
 
 def local_accuracy(explanations: Sequence[InteractionExplanation],
-                   predictions: np.ndarray,
-                   baseline: np.ndarray | None = None) -> LocalAccuracyCurve:
+                   predictions: np.ndarray) -> LocalAccuracyCurve:
     """Root-mean-square decomposition residual, normalized by the raw
     prediction scale.
 
     For each instance the residual is the prediction minus the attribution
-    reconstruction (order-zero term plus all curves). When ``baseline`` is
-    given it replaces every explanation's stored order-zero term; expectations
-    are means over the instance set.
+    reconstruction (order-zero term plus all curves); expectations are means
+    over the instance set.
     """
     if len(explanations) == 0:
         raise ValueError("at least one explanation is required")
@@ -43,10 +41,7 @@ def local_accuracy(explanations: Sequence[InteractionExplanation],
     for i, expl in enumerate(explanations):
         if len(expl.grid) != T or not np.allclose(expl.grid.points, grid.points):
             raise ValueError("all explanations must share one grid")
-        recon = expl.attribution_sum()
-        if baseline is not None:
-            recon = recon - expl.baseline + np.asarray(baseline, dtype=float)
-        residuals[i] = predictions[i] - recon
+        residuals[i] = predictions[i] - expl.attribution_sum()
     denom = np.mean(predictions ** 2, axis=0)
     if np.any(denom <= 0):
         bad = grid.points[np.flatnonzero(denom <= 0)]
@@ -291,10 +286,16 @@ def approximation_error(approx: InteractionExplanation,
         approx.grid.points, exact.grid.points
     ):
         raise ValueError("grids differ")
+    return _mean_squared_error(approx.values, exact.values)
+
+
+def _mean_squared_error(approx: dict, exact: dict) -> float:
+    """Mean squared difference over all (coalition, timepoint) entries of
+    ``exact``'s curves and ``approx``'s, added in ``exact``'s order."""
     total = 0.0
     count = 0
-    for key, curve in exact.values.items():
-        diff = approx.values[key] - curve
+    for key, curve in exact.items():
+        diff = approx[key] - curve
         total += float(np.sum(diff ** 2))
         count += diff.size
     return total / count

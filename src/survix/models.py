@@ -92,12 +92,6 @@ class RiskTerm:
             out *= _transform_fn(tag)(columns[j])
         return out
 
-    def time_factor(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.time == "log1p":
-            return np.log1p(times)
-        return np.ones_like(times)
-
 
 @dataclass(frozen=True)
 class RiskScoreSpec:
@@ -135,12 +129,10 @@ class RiskScoreSpec:
             out[:, i] = term.feature_product(columns)
         return out
 
-    def time_factors(self, times: np.ndarray) -> np.ndarray:
-        """(n_terms, T) matrix of per-term time factors."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if not self.terms:
-            return np.zeros((0, times.size))
-        return np.vstack([t.time_factor(times) for t in self.terms])
+    def _time_factors(self, times: np.ndarray) -> np.ndarray:
+        """(n_terms, T) per-term time factors: log1p(t) or 1."""
+        log1p = np.array([t.time_dependent for t in self.terms], dtype=bool)
+        return np.where(log1p[:, None], np.log1p(times), 1.0)
 
 
 # Decorates each scale method: an overflowing row ends in _check_finite's
@@ -195,7 +187,7 @@ class GroundTruthModel:
             c0, _ = self.loads(X)
             c0 += math.log(self.lam)
             return _broadcast_rows(c0, times.size)
-        out = self.risk.term_products(X) @ self.risk.time_factors(times)
+        out = self.risk.term_products(X) @ self.risk._time_factors(times)
         out += math.log(self.lam)
         _check_finite(out)
         return out
@@ -208,7 +200,7 @@ class GroundTruthModel:
             np.exp(c0, out=c0)
             c0 *= self.lam
             return _broadcast_rows(c0, times.size)
-        out = self.risk.term_products(X) @ self.risk.time_factors(times)
+        out = self.risk.term_products(X) @ self.risk._time_factors(times)
         np.exp(out, out=out)
         out *= self.lam
         _check_finite(out)
@@ -429,7 +421,7 @@ class CoxModel:
         )
 
 
-def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
+def fit_coxph(data) -> CoxModel:
     """Newton-Raphson fit of the Breslow-tie-corrected partial likelihood.
 
     Features are centered at their training means for numerical stability;
@@ -455,6 +447,7 @@ def fit_coxph(data, tol: float = 1e-8, max_iter: int = 100) -> CoxModel:
     risk_start = np.searchsorted(ys, ys, side="left")
     ev = np.flatnonzero(ds == 1)
 
+    tol, max_iter = 1e-8, 100
     beta = np.zeros(p)
     current = _breslow_derivatives(Xs, ds, risk_start, ev, beta)
     trace = []

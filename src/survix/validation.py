@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from .approximators import estimate
 from .core import PredictionTarget, build_time_grid
 from .games import (
     ConditionalGaussianImputer,
@@ -23,10 +25,11 @@ from .games import (
     evaluate_all_coalitions,
 )
 from .interactions import exact_ksii, explain, moebius_transform, reconstruct_from_moebius
-from .metrics import classify_time_dependence
+from .metrics import _mean_squared_error, classify_time_dependence
 from .models import GroundTruthModel, RiskScoreSpec
 from .simulate import (
     LAMBDA,
+    FeatureSampler,
     T_MAX,
     build_scenario,
     dep_demo_covariance,
@@ -57,16 +60,14 @@ class CheckResult:
                 f"threshold={self.threshold:.3e} {self.detail}")
 
 
-def _exact_explanation(scenario, target: PredictionTarget, order: int,
-                       seed: int, rho: float = 0.0,
-                       n: int = 1000, x=X_STAR):
+def _exact_explanation(scenario, target: PredictionTarget, order: int, seed: int):
     model = build_scenario(scenario)
-    data, _ = simulate_dataset(scenario, n=n, seed=seed, rho=rho)
+    data, _ = simulate_dataset(scenario, n=1000, seed=seed)
     grid = build_time_grid(T_MAX, DEFAULT_GRID_POINTS)
     imputer = MarginalEmpiricalImputer(data.features)
-    expl = explain(model.prediction_function(target), x, imputer, grid,
+    expl = explain(model.prediction_function(target), X_STAR, imputer, grid,
                    order, target)
-    prediction = model.predict(np.asarray(x)[None, :], grid.points, target)[0]
+    prediction = model.predict(X_STAR[None, :], grid.points, target)[0]
     residual = float(np.max(np.abs(prediction - expl.attribution_sum())))
     return expl, residual
 
@@ -187,8 +188,8 @@ def suite_cor1(seed: int = 7) -> List[CheckResult]:
 # suite: marginal vs conditional attribution of a correlated inert feature
 # ---------------------------------------------------------------------------
 
-def suite_thm5(seed: int = 7, n_repeats: int = 5,
-               n_samples: int = 1000) -> List[CheckResult]:
+def suite_thm5(seed: int = 7) -> List[CheckResult]:
+    n_repeats = 5
     out = []
     model = build_scenario("dep_demo")
     target = PredictionTarget.LOG_HAZARD
@@ -211,8 +212,7 @@ def suite_thm5(seed: int = 7, n_repeats: int = 5,
     curves = []
     for r in range(n_repeats):
         imp = ConditionalGaussianImputer(np.zeros(3), cov,
-                                         n_samples=n_samples,
-                                         seed=seed + 1000 + r)
+                                         n_samples=1000, seed=seed + 1000 + r)
         cond = explain(model.prediction_function(target), X_STAR, imp, grid,
                        2, target)
         curves.append(cond.values[(2,)])
@@ -258,7 +258,8 @@ def _permutation_shapley(values: np.ndarray, p: int) -> Dict[int, np.ndarray]:
     return {k: v / len(perms) for k, v in out.items()}
 
 
-def suite_identities(seed: int = 7, n_games: int = 50) -> List[CheckResult]:
+def suite_identities(seed: int = 7) -> List[CheckResult]:
+    n_games = 50
     rng = np.random.default_rng(seed)
     worst_full = worst_shap = worst_recon = worst_eff = 0.0
     for g in range(n_games):
@@ -329,37 +330,29 @@ def benchmark_model(p: int = 10) -> GroundTruthModel:
 
 
 def benchmark_game(seed: int = 7, p: int = 10, n_background: int = 100,
-                   n_timepoints: int = 11,
-                   target: PredictionTarget = PredictionTarget.HAZARD):
+                   n_timepoints: int = 11):
     """Fixed ground-truth game used for the error-vs-budget comparison.
 
     The hazard scale makes the game genuinely non-additive at every order, so
     estimators face both bias and variance.
     """
-    from .simulate import FeatureSampler
-
     model = benchmark_model(p)
     sampler = FeatureSampler.standard(p, seed=seed)
     features = sample_features(sampler, n_background + 1)
     x = features[0]
     background = features[1:]
     grid = build_time_grid(T_MAX, n_timepoints)
-    game = SurvivalGame(model.prediction_function(target), x,
+    game = SurvivalGame(model.prediction_function(PredictionTarget.HAZARD), x,
                         MarginalEmpiricalImputer(background), grid)
     return game, model
 
 
 def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
-                  repetitions: int = 30,
-                  methods: Sequence[str] = ("mc", "permutation", "regression"),
-                  order: int = 2, p: int = 10,
+                  repetitions: int = 30, order: int = 2, p: int = 10,
                   n_timepoints: int = 11) -> List[dict]:
-    """Per (method, budget, repetition) mean squared error against the exact
-    decomposition of one fixed game."""
-    import warnings as _warnings
-
-    from . import approximators
-
+    """Per (method, budget, repetition) mean squared error of the Monte-Carlo,
+    permutation and regression estimators against the exact decomposition of
+    one fixed game."""
     if p > 16:
         raise ValueError("the exact oracle is restricted to p <= 16")
     if max(budgets) > (1 << p):
@@ -367,22 +360,16 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
     exact = exact_ksii(evaluate_all_coalitions(game), order)
     rows = []
+    methods = ("mc", "permutation", "regression")
     for method, budget, rep in itertools.product(methods, budgets, range(repetitions)):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            est, info = approximators.estimate(game, order, method, budget,
-                                               seed + 7919 * rep)
-        sq = 0.0
-        count = 0
-        for mask, curve in exact.items():
-            diff = est[mask] - curve
-            sq += float(np.sum(diff ** 2))
-            count += diff.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est, info = estimate(game, order, method, budget, seed + 7919 * rep)
         rows.append({
             "method": method,
             "budget": int(budget),
             "run": int(rep),
-            "mse": sq / count,
+            "mse": _mean_squared_error(est, exact),
             "unstable": bool(info.get("unstable", False)),
         })
     return rows

@@ -10,6 +10,7 @@ from oracles import exact_sii
 from survix.approximators import (
     _COND_LIMIT,
     RIDGE,
+    _regression_fit,
     _sample_coalitions,
     approx_montecarlo,
     approx_permutation,
@@ -163,8 +164,7 @@ class TestRegression:
                 oracle[1 << j] += table[mask | (1 << j)] - table[mask]
                 mask |= 1 << j
         oracle = {m: v / len(perms) for m, v in oracle.items()}
-        est, info = approx_regression(game, 1, budget=8, seed=0,
-                                      fallback_to_exact=False)
+        est, info = _regression_fit(game, 1, budget=8, seed=0)
         assert info["method"] == "regression"
         for mask, curve in oracle.items():
             assert np.allclose(est[mask], curve, atol=1e-6)
@@ -175,8 +175,7 @@ class TestRegression:
         game = small_game(scenario=8, target=PredictionTarget.LOG_HAZARD)
         table = evaluate_all_coalitions(game)
         exact = exact_ksii(table, 2)
-        est, _ = approx_regression(game, 2, budget=8, seed=0,
-                                   fallback_to_exact=False)
+        est, _ = _regression_fit(game, 2, budget=8, seed=0)
         for mask in exact:
             assert np.allclose(est[mask], exact[mask], atol=1e-8)
 

@@ -192,3 +192,82 @@ class TestConfigPrecedence:
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["options"]["seed"] == 9  # config wins over default
         assert manifest["options"]["n"] == 40
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("imputation", "bogus", "argument --imputation: invalid choice: 'bogus'"),
+        ("method", "bogus", "argument --method: invalid choice: 'bogus'"),
+        ("target", "bogus", "argument --target: invalid choice: 'bogus'"),
+        ("order", "two", "argument --order: invalid int value: 'two'"),
+    ])
+    def test_a_bad_config_value_is_the_flags_usage_error(self, tmp_path, capsys,
+                                                          key, value, message):
+        # a config value is parsed as its flag, so it fails the flag's checks
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert run(["explain", "--config", config, "--out", tmp_path]) == 1
+        assert message in capsys.readouterr().err
+        assert run(["explain", f"--{key}", value, "--out", tmp_path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_keys_of_other_subcommands_are_skipped(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 30, "budgets": "8", "out": "elsewhere",
+                                      "split": False, "rho": None}))
+        assert run(["simulate", "--config", config, "--out", tmp_path]) == 0
+        assert SurvivalDataset.from_csv(tmp_path / "dataset.csv").n == 30
+        assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
+    def test_an_unreadable_config_is_a_usage_error(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        assert run(["simulate", "--config", config, "--out", tmp_path]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert run(["simulate", "--config", tmp_path / "absent.json",
+                    "--out", tmp_path]) == 1
+
+
+class TestManifestReplay:
+    """A run replayed with ``--config <its manifest>`` writes the same bytes."""
+
+    def _replay(self, tmp_path, args, outputs):
+        sub = args[0]
+        first, second = tmp_path / f"{sub}_first", tmp_path / f"{sub}_replay"
+        assert run(args + ["--out", first]) == 0
+        manifest = first / f"{sub}_manifest.json"
+        assert run([sub, "--config", manifest, "--out", second]) == 0
+        replayed = json.loads((second / f"{sub}_manifest.json").read_text())
+        assert replayed["options"] == json.loads(manifest.read_text())["options"]
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_simulate(self, tmp_path):
+        self._replay(tmp_path, ["simulate", "--scenario", 9, "--n", 90, "--seed", 4,
+                                "--rho", 0.3, "--t-max", 50.5, "--split"],
+                     ["dataset.csv", "metadata.json", "train.csv", "test.csv"])
+
+    def test_explain_a_literal_instance_of_a_dataset(self, tmp_path):
+        run(["simulate", "--scenario", 2, "--n", 60, "--out", tmp_path])
+        self._replay(tmp_path, ["explain", "--scenario", 2,
+                                "--data", tmp_path / "dataset.csv",
+                                "--instance=-1.265,2.416,-0.644", "--target", "hazard",
+                                "--timepoints", 13, "--smooth", "--svg"],
+                     ["explanation.csv", "explanation.json",
+                      "explanation_smoothed.csv", "explanation.svg"])
+
+    def test_explain_a_conditional_estimate(self, tmp_path):
+        self._replay(tmp_path, ["explain", "--scenario", "dep_demo", "--n", 80,
+                                "--instance", 2, "--imputation", "conditional",
+                                "--n-samples", 50, "--method", "perm",
+                                "--budget", 6, "--timepoints", 5, "--seed", 11],
+                     ["explanation.csv", "explanation.json"])
+
+    def test_validate(self, tmp_path):
+        self._replay(tmp_path, ["validate", "--only", "identities", "--seed", 5],
+                     ["validate_report.csv"])
+
+    def test_benchmark(self, tmp_path):
+        self._replay(tmp_path, ["benchmark", "--budgets", "16,32", "--reps", 2,
+                                "--p", 5, "--timepoints", 3, "--order", 1,
+                                "--seed", 3],
+                     ["benchmark.csv"])

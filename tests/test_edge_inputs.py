@@ -1,7 +1,8 @@
 """Edge inputs through ``explain``: one feature, one timepoint, one
 reference row, a bounded cumulative hazard, a near-singular conditional
-covariance, an order outside 1..p, a wrongly shaped prediction and an
-instance of the wrong length either work or fail with a clear error."""
+covariance, an order outside 1..p, a wrongly shaped prediction, an
+instance of the wrong length and a coalition mask outside 0..2^p - 1 either
+work or fail with a clear error."""
 
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 
 import survix
 from survix.approximators import estimate
-from survix.core import PredictionTarget, build_time_grid
+from survix.core import PredictionTarget, build_time_grid, indices_from_mask
 from survix.games import (ConditionalGaussianImputer, MarginalEmpiricalImputer,
                           SurvivalGame, reference_mean)
 from survix.interactions import ApproximatorConfig, explain
@@ -214,3 +215,27 @@ def test_rows_for_rejects_an_instance_that_is_not_a_length_p_vector(conditional,
             f"instance must be a vector of length p = 3, got shape {x.shape}")):
         imputer.rows_for(x, [3])
     assert imputer.rows_for(np.array([9.0, 8.0, 7.0]), [3]).shape == (4, 3)
+
+
+# at p = 3 the marginal imputer once served mask 8 as mask 0 and mask -1 as
+# mask 7, the conditional imputer raised IndexError, and indices_from_mask(-1)
+# never returned
+@pytest.mark.parametrize("bad", [8, -1])
+@pytest.mark.parametrize("conditional", [False, True], ids=["marginal", "conditional"])
+def test_a_mask_outside_the_coalitions_is_rejected(conditional, bad):
+    imputer = (ConditionalGaussianImputer(np.zeros(3), np.eye(3), n_samples=4) if conditional
+               else MarginalEmpiricalImputer(np.arange(12.0).reshape(4, 3)))
+    grid = build_time_grid(10.0, 3)
+    game = SurvivalGame(build_scenario(1).prediction_function(TARGET), X_STAR, imputer, grid)
+    message = re.escape(f"coalition mask {bad} outside 0..2^3 - 1 = 7")
+    with pytest.raises(ValueError, match=message):
+        imputer.rows_for(X_STAR, [3, bad])
+    with pytest.raises(ValueError, match=message):
+        game.values_for_masks([1, bad])
+    assert game.values_for_masks([7]).shape == (1, 3)
+
+
+def test_indices_from_a_negative_mask_are_rejected():
+    with pytest.raises(ValueError, match="coalition mask -1 is negative"):
+        indices_from_mask(-1)
+    assert indices_from_mask(0) == () and indices_from_mask(13) == (0, 2, 3)
