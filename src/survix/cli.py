@@ -218,8 +218,6 @@ def _validate_options(sub: str, opt: dict) -> None:
             p = build_scenario(opt["scenario"]).p
             if not 1 <= opt["order"] <= p:
                 bad(f"--order must lie in 1..{p}")
-        elif opt["order"] < 1:
-            bad("--order must be >= 1")
         if opt["timepoints"] < 1:
             bad("--timepoints must be >= 1")
         if opt["method"] != "exact" and opt["budget"] < 2:
@@ -307,6 +305,9 @@ def cmd_explain(cfg: RunConfig) -> int:
         data, _ = simulate_dataset(opt["scenario"], n=opt["n"],
                                    seed=opt["seed"], rho=opt["rho"],
                                    t_max=opt["t_max"])
+    if not 1 <= opt["order"] <= data.p:  # a model file's p, known only now
+        print(f"survix explain: error: --order must lie in 1..{data.p}", file=sys.stderr)
+        return USAGE_ERROR
     x = _resolve_instance(opt["instance"], data, data.p)
 
     background = data.features

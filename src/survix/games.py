@@ -12,23 +12,28 @@ the exact path's (n, 2^p, w) value tensors block by block, and
 ``evaluate_all_coalitions`` returns one game's (2^p, T) array, whose row
 index is the coalition mask; that plain array is the value table everywhere.
 A predict chunk holds coalitions of one instance only, so no row's values
-depend on its block (a BLAS product may round a row by batch shape); it is
-freed before the next. Rows come reference-row-major (row r of every
-coalition, then r + 1), so a coalition mean adds the reference rows in
-sequence, whatever shares the chunk; at T = 1 each coalition sums its own
-contiguous row, pairwise. The marginal imputer stores its rows
-feature-major, so a callable may get them column-major; the conditional
-imputer plans each coalition's Gaussian conditional once per imputer, while
-its plans fit in ``_PLAN_BYTE_BUDGET``.
+depend on the other instances of its block, even under a callable that
+rounds a row by batch shape; it is freed before the next. Rows come
+mask-major (all reference rows of one coalition, then the next's), and a
+chunk's coalition means are one sum over the last axis of the
+(w, K, n_ref) view of the transposed predictions. Every built-in scale
+predicts time-major, the (m, w) view of a C-ordered (w, m) buffer, so each
+mean is a pairwise sum over a contiguous run of reference rows; a
+row-major prediction, as a user callable may return, has its reference
+rows added in sequence. Neither is copied into the other's layout: a second
+buffer per chunk makes glibc trim and refault the heap. The marginal
+imputer stores its rows feature-major, so a callable may get them
+column-major; the conditional imputer plans each coalition's Gaussian
+conditional once per imputer, while its plans fit in ``_PLAN_BYTE_BUDGET``.
 
 The engine predicts at the nodes that ``_width`` alone decides: on T > r
 points, r grid points for a callable each of whose rows is a combination of
 the r rows of its declared ``time_basis(times)`` (the first and last point
 for r = 2, the first for r = 1), else every point. Values, Moebius
 coefficients and estimates stay at the nodes, and each public entry point
-maps its result to the grid once, with ``_to_grid``. Reference rows are
-added in sequence at any width. A prediction that is not (rows, nodes)
-raises ``ValueError``.
+maps its result to the grid once, with ``_to_grid``. Means are taken the
+same way at any width. A prediction that is not (rows, nodes) raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -139,24 +144,23 @@ class MarginalEmpiricalImputer:
         return self.background
 
     def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
-        """(n_reference * len(masks), p) rows, reference-row-major: row
-        ``r * len(masks) + j`` is background row r with mask j's features
+        """(len(masks) * n_reference, p) rows, mask-major: row
+        ``j * n_reference + r`` is background row r with mask j's features
         pinned to ``x``. They are the transposed view of a feature-major
-        (p, n_reference * len(masks)) array, so each column is contiguous:
-        feature f's (n_reference, len(masks)) slab takes, per mask, the
-        background column f or, where the mask pins f, ``x[f]``."""
+        (p, len(masks) * n_reference) array, so each column is contiguous:
+        feature f's run for mask j is row ``mask j's bit f`` of the pair
+        (background column f, ``x[f]`` repeated), one row gather per
+        feature."""
         x = _instance(x, self.p)
         masks = _masks(masks, self.p)
         pinned = (masks >> np.arange(self.p)[:, None]) & 1
-        choices = np.empty((self.p, self.n_reference, 2))
-        choices[:, :, 0] = self._columns
-        choices[:, :, 1] = x[:, None]
-        slabs = np.empty((self.p, self.n_reference, masks.size))
+        pairs = np.stack([self._columns, np.broadcast_to(x[:, None], self._columns.shape)], 1)
+        rows = np.empty((self.p, masks.size, self.n_reference))
         for f in range(self.p):
             # the bits never need clipping; unlike mode="raise", "clip"
-            # writes into the slab without a temporary copy
-            choices[f].take(pinned[f], axis=1, out=slabs[f], mode="clip")
-        return slabs.reshape(self.p, -1).T
+            # writes into the run without a temporary copy
+            pairs[f].take(pinned[f], axis=0, out=rows[f], mode="clip")
+        return rows.reshape(self.p, -1).T
 
 
 class ConditionalGaussianImputer:
@@ -227,14 +231,14 @@ class ConditionalGaussianImputer:
         return plan
 
     def rows_for(self, x: np.ndarray, masks) -> np.ndarray:
-        """(n_samples * len(masks), p) rows in the marginal imputer's
-        reference-row-major order, written mask by mask; a call adds each
-        planned coalition's shift ``gain @ (x[cond] - mean[cond])`` to its
-        noise ``z[:, rest] @ chol.T``."""
+        """(len(masks) * n_samples, p) rows in the marginal imputer's
+        mask-major order, written mask by mask; a call adds each planned
+        coalition's shift ``gain @ (x[cond] - mean[cond])`` to its noise
+        ``z[:, rest] @ chol.T``."""
         x = _instance(x, self.p)
         masks = _masks(masks, self.p)
-        rows = np.empty((self.n_samples, masks.size, self.p))
-        for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
+        rows = np.empty((masks.size, self.n_samples, self.p))
+        for block, mask in zip(rows, masks.tolist()):
             if mask == 0:
                 block[:] = self._reference
                 continue
@@ -303,18 +307,14 @@ def _checked(preds, m: int, w: int) -> np.ndarray:
     return preds
 
 
-def _means(preds: np.ndarray, T: int) -> np.ndarray:
-    """Column means of (n_ref, cols) predictions. numpy adds along a
-    contiguous axis pairwise, along any other in order: at T = 1 each column
-    is summed as a contiguous row, pairwise; otherwise the reference rows
-    are added in sequence, by an accumulation when there is one column."""
-    if T == 1:
-        sums = np.ascontiguousarray(preds.T).sum(axis=1)
-    elif preds.shape[1] == 1:
-        sums = np.cumsum(preds[:, 0])[-1:]
-    else:
-        sums = preds.sum(axis=0)
-    sums /= preds.shape[0]
+def _means(preds: np.ndarray, n_ref: int) -> np.ndarray:
+    """(K, w) coalition means of mask-major (K * n_ref, w) predictions, by
+    one sum over the last axis of the (w, K, n_ref) view of ``preds.T``.
+    numpy adds along a contiguous axis pairwise and along any other in
+    sequence: a time-major prediction's reference rows are a contiguous run,
+    a row-major one's are added in sequence."""
+    sums = preds.T.reshape(preds.shape[1], -1, n_ref).sum(axis=-1).T
+    sums /= n_ref
     return sums
 
 
@@ -323,7 +323,7 @@ def reference_mean(predict: PredictFn, imputer, grid: TimeGrid) -> np.ndarray:
     taken at the nodes (``_width``)."""
     rows, (nodes, basis_map) = imputer.reference_rows(), _width(predict, grid)
     preds = _checked(predict(rows, grid.points[nodes]), rows.shape[0], nodes.size)
-    return _to_grid(_means(preds, len(grid)), basis_map)
+    return _to_grid(_means(preds, rows.shape[0])[0], basis_map)
 
 
 def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
@@ -332,7 +332,7 @@ def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
     X at the w nodes (``_width``), given the (T,) ``baseline``; the empty and
     full coalitions need no imputation."""
     masks = _masks(masks, imputer.p)
-    T, n_ref, nodes = len(grid), imputer.n_reference, _width(predict, grid)[0]
+    n_ref, nodes = imputer.n_reference, _width(predict, grid)[0]
     w, points, baseline = nodes.size, grid.points[nodes], baseline[nodes]
     out = np.zeros((X.shape[0], masks.size, w))
     full = masks == (1 << imputer.p) - 1
@@ -355,9 +355,8 @@ def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                                    f"coalitions, starting {labels}: {exc}") from exc
             preds = _checked(preds, rows.shape[0], w)
             del rows
-            sums = _means(preds.reshape(n_ref, -1), T)
+            row[sub] = _means(preds, n_ref) - baseline
             del preds
-            row[sub] = sums.reshape(sub.size, w) - baseline
     return out
 
 

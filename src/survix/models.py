@@ -10,11 +10,15 @@ evaluates in closed form: the cumulative hazard is
 lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1. The loads (c0, c1) are
 accumulated term by term from the used feature columns, each contiguous
 (read in place from column-major rows, else copied).
-A time-independent model (c1 = 0) has one log-hazard and one hazard per row,
-log(lam) + c0 and lam * e^c0, computed on the rows and broadcast over the
-grid; time-dependent log-hazards and hazards take the term-matrix product.
-``prediction_function`` declares the time basis [1] of those two scales and
-[1, log1p(t)] of a time-dependent log-hazard.
+Every scale computes element-wise in one C-ordered (T, m) buffer and returns
+its (m, T) transposed view, time-major: a per-row factor then broadcasts
+along a buffer row, not one short grid loop per row, and the value engine
+reduces a coalition's reference rows as one contiguous run. The buffer is
+never copied back to row-major, as a second buffer per call would make glibc
+trim and refault the heap. The log-hazard and hazard are element-wise in
+(c0, c1), so no row depends on its batch. ``prediction_function`` declares
+the time basis [1] of those two scales for a time-independent model (c1 = 0)
+and [1, log1p(t)] of a time-dependent log-hazard.
 Every scale checks that the times are finite and >= 0, and a row that
 overflows raises FloatingPointError without numpy warnings. There is one
 implementation of each scale, the batch one, also for a single row or time.
@@ -129,11 +133,6 @@ class RiskScoreSpec:
             out[:, i] = term.feature_product(columns)
         return out
 
-    def _time_factors(self, times: np.ndarray) -> np.ndarray:
-        """(n_terms, T) per-term time factors: log1p(t) or 1."""
-        log1p = np.array([t.time_dependent for t in self.terms], dtype=bool)
-        return np.where(log1p[:, None], np.log1p(times), 1.0)
-
 
 # Decorates each scale method: an overflowing row ends in _check_finite's
 # FloatingPointError, so numpy's overflow and invalid-value warnings from the
@@ -182,29 +181,26 @@ class GroundTruthModel:
 
     @_quiet_overflow
     def log_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        times = _checked_times(times)
-        if self.time_independent:
-            c0, _ = self.loads(X)
-            c0 += math.log(self.lam)
-            return _broadcast_rows(c0, times.size)
-        out = self.risk.term_products(X) @ self.risk._time_factors(times)
-        out += math.log(self.lam)
-        _check_finite(out)
-        return out
+        return self._risk_matrix(X, times, hazard=False)
 
     @_quiet_overflow
     def hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return self._risk_matrix(X, times, hazard=True)
+
+    def _risk_matrix(self, X, times, hazard: bool) -> np.ndarray:
+        """log lam + c0 + c1 * log1p(t), or lam * e^(c0 + c1 * log1p(t)) if
+        ``hazard``, element-wise in one (T, m) buffer (c1 = 0 adds 0)."""
         times = _checked_times(times)
-        if self.time_independent:
-            c0, _ = self.loads(X)
-            np.exp(c0, out=c0)
-            c0 *= self.lam
-            return _broadcast_rows(c0, times.size)
-        out = self.risk.term_products(X) @ self.risk._time_factors(times)
-        np.exp(out, out=out)
-        out *= self.lam
+        c0, c1 = self.loads(X)
+        if not hazard:
+            c0 += math.log(self.lam)
+        out = np.multiply.outer(np.log1p(times), c1)
+        out += c0
+        if hazard:
+            np.exp(out, out=out)
+            out *= self.lam
         _check_finite(out)
-        return out
+        return out.T
 
     def cumulative_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Integral of the hazard from 0 to each timepoint, per row of X.
@@ -228,18 +224,18 @@ class GroundTruthModel:
         c0, c1 = self.loads(X)
         scale = (sign * self.lam) * np.exp(c0)
         if self.time_independent:
-            out = np.multiply.outer(scale, times)
+            out = np.multiply.outer(times, scale)
         else:
             v = np.log1p(times)
             a = c1 + 1.0
             flat = a == 0.0
             a[flat] = 1.0  # flat rows take the a = 0 limit, scaled by 1
-            out = np.multiply.outer(a, v)
+            out = np.multiply.outer(v, a)
             np.expm1(out, out=out)
-            out[flat] = v
-            out *= (scale / a)[:, None]
+            out[:, flat] = v[:, None]
+            out *= scale / a
         _check_finite(out)
-        return out
+        return out.T
 
     def predict(self, X: np.ndarray, times: np.ndarray,
                 target: PredictionTarget) -> np.ndarray:
@@ -274,12 +270,6 @@ def _checked_times(times) -> np.ndarray:
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and >= 0")
     return times
-
-
-def _broadcast_rows(values: np.ndarray, T: int) -> np.ndarray:
-    """(m, T) C-ordered array repeating each row's finite value T times."""
-    _check_finite(values)
-    return np.repeat(values, T).reshape(values.size, T)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -386,12 +376,12 @@ class CoxModel:
         return out
 
     def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-e^eta * H0(t)), computed in one (m, T) buffer."""
+        """exp(-e^eta * H0(t)), the (m, T) view of one (T, m) buffer."""
         h0 = self.cumhaz_at(times)
         eta = self.linear_predictor(X)
-        out = np.multiply.outer(-np.exp(eta), h0)
+        out = np.multiply.outer(h0, -np.exp(eta))
         np.exp(out, out=out)
-        return out
+        return out.T
 
     def prediction_function(self, target: PredictionTarget = PredictionTarget.SURVIVAL):
         if target is not PredictionTarget.SURVIVAL:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, indices_from_mask, mask_size
+from survix.games import _width
 from survix.interactions import _submasks
 from survix.models import (
     CoxModel,
@@ -86,10 +87,9 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
 
 def term_matrix_predict(model: GroundTruthModel, X: np.ndarray, times,
                         target: PredictionTarget) -> np.ndarray:
-    """(m, T) predictions cell by cell: the log-hazard and hazard through
-    the term-matrix product with the time factors, survival through the
-    closed-form cumulative hazard of the row-sum loads, negated as a whole
-    array before its exponential."""
+    """(m, T) C-ordered predictions cell by cell: the log-hazard and hazard
+    through the term-matrix product with the time factors, survival as the
+    exponential of the negated ``cumulative_hazard_matrix``."""
     if target is PredictionTarget.LOG_HAZARD:
         out = term_products(model.risk, X) @ time_factors(model.risk, times)
         out += math.log(model.lam)
@@ -101,6 +101,15 @@ def term_matrix_predict(model: GroundTruthModel, X: np.ndarray, times,
         return _check_finite(out)
     if target is not PredictionTarget.SURVIVAL:
         raise ValueError(f"unknown target {target!r}")
+    out = cumulative_hazard_matrix(model, X, times)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    return out
+
+
+def cumulative_hazard_matrix(model: GroundTruthModel, X: np.ndarray, times) -> np.ndarray:
+    """(m, T) C-ordered closed-form cumulative hazard of the row-sum loads,
+    with one broadcast per row."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
@@ -117,10 +126,7 @@ def term_matrix_predict(model: GroundTruthModel, X: np.ndarray, times,
         np.expm1(out, out=out)
         out[flat] = v
         out *= (scale / a)[:, None]
-    _check_finite(out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    return out
+    return _check_finite(out)
 
 
 def eval_risk_score(risk: RiskScoreSpec, x: np.ndarray, t: float) -> float:
@@ -372,24 +378,26 @@ def mask_from_indices(indices: Sequence[int], p: int) -> int:
 
 
 def marginal_rows(background: np.ndarray, x: np.ndarray, masks) -> np.ndarray:
-    """Reference-row-major rows of the marginal imputer, C-ordered, by one
-    gather per background row: column j * p + f reads x[f] (source column
-    p + f) where mask j pins feature f, else the background's f."""
+    """Mask-major rows of the marginal imputer, C-ordered, by one gather per
+    background row: column j * p + f reads x[f] (source column p + f) where
+    mask j pins feature f, else the background's f; the (n, K, p) gather is
+    then reordered to row j * n + r."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    p = background.shape[1]
+    n, p = background.shape
     source = np.hstack([background, np.broadcast_to(x, background.shape)])
     cols = np.arange(p) + p * ((masks[:, None] >> np.arange(p)) & 1)
-    return source.take(cols.ravel(), axis=1).reshape(-1, p)
+    gathered = source.take(cols.ravel(), axis=1).reshape(n, masks.size, p)
+    return gathered.transpose(1, 0, 2).reshape(-1, p)
 
 
 def conditional_rows(imputer, x: np.ndarray, masks) -> np.ndarray:
-    """Reference-row-major rows of a ``ConditionalGaussianImputer``, solving
-    each coalition's Gaussian conditional and its Cholesky factor (with the
-    1e-12 jitter when the factor fails) on every call."""
+    """Mask-major rows of a ``ConditionalGaussianImputer``, solving each
+    coalition's Gaussian conditional and its Cholesky factor (with the 1e-12
+    jitter when the factor fails) on every call."""
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
     p, mean, cov = imputer.p, imputer.mean, imputer.covariance
-    rows = np.empty((imputer.n_samples, masks.size, p))
-    for block, mask in zip(rows.transpose(1, 0, 2), masks.tolist()):
+    rows = np.empty((masks.size, imputer.n_samples, p))
+    for block, mask in zip(rows, masks.tolist()):
         cond = list(indices_from_mask(mask))
         if len(cond) == 0:
             block[:] = imputer.reference_rows()
@@ -409,3 +417,39 @@ def conditional_rows(imputer, x: np.ndarray, masks) -> np.ndarray:
             chol = np.linalg.cholesky(cond_cov + 1e-12 * np.eye(len(rest)))
         block[:, rest] = cond_mean + imputer._z[:, rest] @ chol.T
     return rows.reshape(-1, p)
+
+
+def in_sequence_means(preds: np.ndarray, T: int) -> np.ndarray:
+    """Column means of (n_ref, cols) reference-row-major predictions on a
+    grid of T points, as the value engine took them before its rows were
+    mask-major: numpy adds along a contiguous axis pairwise, along any other
+    in order, so at T = 1 each column is summed as a contiguous row,
+    pairwise; otherwise the reference rows are added in sequence, by an
+    accumulation when there is one column."""
+    if T == 1:
+        sums = np.ascontiguousarray(preds.T).sum(axis=1)
+    elif preds.shape[1] == 1:
+        sums = np.cumsum(preds[:, 0])[-1:]
+    else:
+        sums = preds.sum(axis=0)
+    sums /= preds.shape[0]
+    return sums
+
+
+def in_sequence_table(predict, x: np.ndarray, imputer, grid) -> np.ndarray:
+    """(2^p, w) values of every coalition of x at the engine's w nodes, from
+    reference-row-major rows (row r of every coalition, then r + 1) and
+    ``in_sequence_means``, centred on the reference rows' mean taken the
+    same way: the value engine before its rows were mask-major."""
+    p, n_ref = imputer.p, imputer.n_reference
+    points = grid.points[_width(predict, grid)[0]]
+    baseline = in_sequence_means(
+        np.asarray(predict(imputer.reference_rows(), points)), len(grid))
+    masks = np.arange(1, (1 << p) - 1)
+    rows = imputer.rows_for(x, masks).reshape(masks.size, n_ref, p)
+    preds = np.asarray(predict(rows.transpose(1, 0, 2).reshape(-1, p), points))
+    out = np.zeros((1 << p, points.size))
+    out[masks] = in_sequence_means(preds.reshape(n_ref, -1), len(grid)).reshape(
+        masks.size, -1) - baseline
+    out[-1] = np.asarray(predict(x[None, :], points))[0] - baseline
+    return out

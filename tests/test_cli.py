@@ -108,6 +108,17 @@ class TestExplainCommand:
         assert code == 1
         assert "--order must lie in 1..3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_order_outside_the_model_files_p_is_usage_error(self, tmp_path, capsys,
+                                                            order):
+        model_to_json(benchmark_model(p=4), tmp_path / "model.json")
+        simulate_dataset(benchmark_model(p=4), n=20, seed=1)[0].to_csv(tmp_path / "data.csv")
+        code = run(["explain", "--model-file", tmp_path / "model.json",
+                    "--data", tmp_path / "data.csv", "--instance", 0,
+                    "--order", order, "--out", tmp_path])
+        assert code == 1
+        assert "--order must lie in 1..4" in capsys.readouterr().err
+
     def test_unknown_scenario_from_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenario": 11}))

@@ -9,11 +9,22 @@ from survix.games import (
     ConditionalGaussianImputer,
     MarginalEmpiricalImputer,
     SurvivalGame,
+    all_coalition_values,
     conditional_gaussian_params,
     evaluate_all_coalitions,
+    reference_mean,
 )
 from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
-from survix.simulate import build_scenario, dep_demo_covariance, pairwise_covariance
+from survix.simulate import (
+    T_MAX,
+    build_scenario,
+    dep_demo_covariance,
+    pairwise_covariance,
+    simulate_dataset,
+)
+from survix.validation import benchmark_model
+
+EPS = np.finfo(float).eps
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
 
@@ -179,14 +190,14 @@ class TestBatchedRows:
         ]
 
     def test_batch_equals_single_mask_calls(self):
-        # batches are reference-row-major: row r of every mask, then row r + 1
+        # batches are mask-major: every reference row of mask j, then j + 1
         x = np.array([0.3, -1.1, 2.0, 0.7])
         for imputer in self._imputers():
             batch = imputer.rows_for(x, np.array(self.MASKS))
             assert batch.shape == (7 * len(self.MASKS), 4)
-            by_mask = batch.reshape(7, len(self.MASKS), 4)
+            by_mask = batch.reshape(len(self.MASKS), 7, 4)
             for j, m in enumerate(self.MASKS):
-                assert (by_mask[:, j] == imputer.rows_for(x, m)).all()
+                assert (by_mask[j] == imputer.rows_for(x, m)).all()
 
     def test_marginal_rows_pin_coalition_features(self):
         x = np.array([0.3, -1.1, 2.0, 0.7])
@@ -314,6 +325,70 @@ def test_plan_cache_stays_under_its_byte_budget(monkeypatch):
     rows = imputer.rows_for(x, unkept)
     assert np.array_equal(imputer.rows_for(x, unkept), rows)
     assert np.array_equal(rows, oracles.conditional_rows(imputer, x, unkept))
+
+
+class TestMeansMatchTheInSequenceOracle:
+    """Each coalition mean is a pairwise sum over a contiguous run of
+    reference rows for a time-major prediction, and the reference rows added
+    in sequence for a row-major one, as ``oracles.in_sequence_table`` adds
+    them for both. The unit is n_ref eps max(1, M), M the largest |prediction|
+    of any coalition's rows for x: about the most that adding the rows in
+    sequence rounds a mean by. The largest gap seen below was 0.021 of it."""
+
+    @staticmethod
+    def _largest_gap(predict, X, imputer, grid):
+        """Largest difference from the oracle over the rows of X, in units."""
+        V = next(all_coalition_values(predict, X, imputer, grid,
+                                      reference_mean(predict, imputer, grid)))
+        gaps = []
+        for x, table in zip(X, V):
+            rows = imputer.rows_for(x, np.arange(1 << imputer.p))
+            unit = imputer.n_reference * EPS * max(1.0, np.max(np.abs(predict(
+                rows, grid.points))))
+            want = oracles.in_sequence_table(predict, x, imputer, grid)
+            gaps.append(np.max(np.abs(table - want)) / unit)
+        return max(gaps)
+
+    @pytest.mark.parametrize("scenario", range(1, 11))
+    def test_criterion_one_blocks(self, scenario):
+        # acceptance criterion 1's tables: 1000 rows, 41 points, one block
+        # of eight instances
+        model = build_scenario(scenario)
+        X = simulate_dataset(scenario, n=1000, seed=7 + scenario)[0].features
+        imputer, grid = MarginalEmpiricalImputer(X), build_time_grid(70, 41)
+        for target in PredictionTarget:
+            assert self._largest_gap(model.prediction_function(target), X[:8],
+                                     imputer, grid) <= 1.0
+
+    @pytest.mark.parametrize("target", [PredictionTarget.LOG_HAZARD, PredictionTarget.HAZARD],
+                             ids=lambda t: t.value)
+    def test_p12_table(self, target):
+        model = benchmark_model(12)
+        rng = np.random.default_rng(12)
+        imputer = MarginalEmpiricalImputer(rng.standard_normal((100, 12)))
+        assert self._largest_gap(model.prediction_function(target),
+                                 rng.standard_normal((1, 12)), imputer,
+                                 build_time_grid(T_MAX, 41)) <= 1.0
+
+    def test_row_major_predictions_are_added_in_sequence(self):
+        model = build_scenario(10)
+        rng = np.random.default_rng(3)
+        grid = build_time_grid(70, 11)
+        X = rng.standard_normal((3, 3))
+        imputers = [MarginalEmpiricalImputer(rng.standard_normal((40, 3))),
+                    ConditionalGaussianImputer(np.zeros(3), pairwise_covariance(3, 0.4),
+                                               n_samples=40, seed=1)]
+        for target in PredictionTarget:
+            time_major = model.prediction_function(target)
+
+            def row_major(X, t):
+                return np.ascontiguousarray(time_major(X, t))
+            for imputer in imputers:
+                V = next(all_coalition_values(row_major, X, imputer, grid,
+                                              reference_mean(row_major, imputer, grid)))
+                for x, table in zip(X, V):
+                    assert np.array_equal(
+                        table, oracles.in_sequence_table(row_major, x, imputer, grid))
 
 
 class TestValueTable:

@@ -248,10 +248,14 @@ BUDGETS = {3: (6, 7), 10: (128, 512), 12: (128, 512)}
 
 
 @pytest.mark.parametrize("case", CASES, ids=_label)
-def test_estimates_match_the_unmarked_path(case):
+def test_estimates_match_the_unmarked_path(case, monkeypatch):
     predict, x, imputer, grid = _case(*case)
     plain = stripped(predict)
     base = reference_mean(plain, imputer, grid)
+    # the regression solves its ridge KKT system, not the design [Aw; C]
+    # whose condition ``info`` reports; record the matrix it solves
+    solved, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
     for method in ("mc", "permutation", "regression"):
         for budget in BUDGETS[imputer.p]:
             runs = []
@@ -268,12 +272,12 @@ def test_estimates_match_the_unmarked_path(case):
             for S, curve in want.items():
                 assert got[S].shape == curve.shape
                 if method == "regression":
-                    # a backward-stable solve of the same system with one
+                    # a backward-stable solve of the same KKT system with one
                     # right-hand side instead of T: relative forward error of
-                    # a few eps per unit of condition number (the largest
-                    # seen over these cases was 1.5)
+                    # a few eps per unit of its condition number (the largest
+                    # seen over these cases was 0.097)
                     assert np.max(np.abs(got[S] - curve)) <= \
-                        16 * EPS * info["condition"] * scale, (method, budget, S)
+                        16 * EPS * np.linalg.cond(solved[-1]) * scale, (method, budget, S)
                 else:
                     assert np.array_equal(got[S], curve), (method, budget, S)
 
@@ -285,11 +289,12 @@ def test_estimates_match_the_unmarked_path(case):
 def two_node_unit(predict, x, imputer, grid):
     """n_ref eps max(1, M), M the largest |prediction| of any coalition's rows
     for x: about the most that adding n_ref predictions in sequence rounds a
-    mean by. The stripped callable adds them at every grid point, the
+    mean by (pairwise, as the engine adds time-major predictions, rounds
+    less). The stripped callable adds them at every grid point, the
     declared one at the nodes, and the values in between are mapped; over
-    the cases below, at 40 and at 1000 reference rows, tables, reference
-    means, exact curves and Monte-Carlo and permutation estimates of the two
-    differ by at most 0.11 of it."""
+    the cases below, tables, reference means, exact curves and Monte-Carlo
+    and permutation estimates of the two differ by at most 0.049 of it at
+    40 reference rows and 0.0022 at 1000."""
     rows = imputer.rows_for(x, np.arange(1 << imputer.p))
     largest = np.max(np.abs(predict(rows, grid.points)))
     return imputer.n_reference * EPS * max(1.0, largest)
