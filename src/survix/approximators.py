@@ -11,6 +11,11 @@ the values, so the sampling loop draws and budgets coalitions first; then one
 ``SurvivalGame.values_for_masks`` call fetches them all, and Monte Carlo and
 permutation take every sampled (K, M) discrete derivative together.
 
+Regression's coefficients are the minimum-norm solution of its two exact
+constraints (the empty and full values) plus an orthonormal basis of their
+null space times one ``np.linalg.lstsq`` solution, the minimum-norm fit of a
+rank-deficient design; ``info["condition"]`` is that solved matrix's.
+
 An estimator works at the width of the values it fetches. ``estimate`` runs
 it on the game's values at the engine's nodes (see ``games``) and maps the
 estimated curves to the grid once; called directly, an estimator sees the
@@ -19,7 +24,6 @@ game's T columns.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from typing import Iterable, List, Set, Tuple
@@ -30,7 +34,6 @@ from .core import coalition_iter, mask_size
 from .games import SurvivalGame, _to_grid, _width, evaluate_all_coalitions
 from .interactions import _check_order, _submasks, aggregate_ksii, exact_ksii
 
-RIDGE = 1e-8
 _COND_LIMIT = 1e8
 
 
@@ -209,23 +212,17 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
 # kernel-weighted regression
 # ---------------------------------------------------------------------------
 
-def _kernel_size_mass(p: int) -> np.ndarray:
-    """Total kernel mass per coalition size 1..p-1 (mass of one coalition of
-    size s times the number of such coalitions)."""
-    sizes = np.arange(1, p)
-    return (p - 1) / (sizes * (p - sizes))
-
-
 def _sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
     """Stratified coalition sample: strata whose share of the remaining rows
     covers them entirely are enumerated, the rest are sampled without
     replacement within each size. Returns (masks, weights) where weights
     restore the full kernel-weighted objective in expectation."""
     sizes = list(range(1, p))
-    mass = {s: m for s, m in zip(sizes, _kernel_size_mass(p))}
+    mass = {s: (p - 1) / (s * (p - s)) for s in sizes}  # total kernel mass of size s
     counts = {s: math.comb(p, s) for s in sizes}
-    chosen: List[int] = []
-    weights: List[float] = []
+    # (size, ranks in lexicographic order, weight per row) of each stratum,
+    # after an empty one that keeps the arrays defined when n_rows = 0
+    strata = [(0, np.zeros(0, dtype=np.int64), 0.0)]
     remaining = n_rows
     open_sizes = sizes[:]
     # repeatedly peel off strata that the proportional allocation saturates
@@ -240,9 +237,7 @@ def _sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
         for s in sorted(saturated, key=lambda s: counts[s]):
             if counts[s] > remaining:
                 continue
-            for combo in itertools.combinations(range(p), s):
-                chosen.append(sum(1 << j for j in combo))
-                weights.append(mass[s] / counts[s])
+            strata.append((s, np.arange(counts[s]), mass[s] / counts[s]))
             remaining -= counts[s]
             open_sizes.remove(s)
     if open_sizes and remaining > 0:
@@ -261,28 +256,34 @@ def _sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
             n_s = take[s]
             if n_s == 0:
                 continue
-            picked = _sample_masks_of_size(p, s, n_s, rng)
-            per_weight = mass[s] / counts[s] * (counts[s] / n_s)
-            chosen.extend(picked)
-            weights.extend([per_weight] * n_s)
-    return chosen, np.array(weights)
+            ranks = rng.choice(counts[s], size=n_s, replace=False)
+            strata.append((s, ranks, mass[s] / counts[s] * (counts[s] / n_s)))
+    lengths = [ranks.size for _, ranks, _ in strata]
+    masks = _unrank(p, np.repeat([s for s, _, _ in strata], lengths),
+                    np.concatenate([ranks for _, ranks, _ in strata]))
+    return masks, np.repeat([w for _, _, w in strata], lengths)
 
 
-def _sample_masks_of_size(p: int, s: int, n: int, rng: np.random.Generator) -> List[int]:
-    total = math.comb(p, s)
-    if total <= 200_000:
-        combos = list(itertools.combinations(range(p), s))
-        idx = rng.choice(total, size=n, replace=False)
-        picked = [combos[i] for i in idx]
-    else:
-        seen = set()
-        picked = []
-        while len(picked) < n:
-            combo = tuple(sorted(rng.choice(p, size=s, replace=False).tolist()))
-            if combo not in seen:
-                seen.add(combo)
-                picked.append(combo)
-    return [sum(1 << j for j in combo) for combo in picked]
+def _unrank(p: int, sizes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Masks of the subsets of range(p) of the given sizes at the given ranks
+    of lexicographic order, the order of ``itertools.combinations``.
+
+    Features are decided in order, for all ranks at once: with k features
+    still to choose, feature i is in the first C(p-1-i, k-1) subsets that
+    remain, so it is taken when the rank's remainder is below that count and
+    skipped past them otherwise."""
+    binom = np.array([[math.comb(n, k) for k in range(p + 1)] for n in range(p)],
+                     dtype=np.int64)  # column p, C(n, p) = 0, is read once k = 0
+    k = np.array(sizes, dtype=np.int64)
+    rest = np.array(ranks, dtype=np.int64)
+    masks = np.zeros_like(rest)
+    for i in range(p):
+        first = binom[p - 1 - i, k - 1]
+        take = rest < first
+        masks += take * (1 << i)
+        rest -= np.where(take, 0, first)
+        k -= take
+    return masks
 
 
 def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int):
@@ -307,25 +308,27 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
     n_rows = min(budget - 2, (1 << p) - 2)
     masks, weights = _sample_coalitions(p, n_rows, rng)
-    masks = np.array(masks, dtype=np.int64)
     planned, fetched = _evaluate(game, np.concatenate([[0, game.full_mask], masks]))
     values = fetched[np.searchsorted(planned, masks)]  # (n_rows, T)
-
-    cols = np.array(basis, dtype=np.int64)
-    A = ((masks[:, None] & cols) == cols).astype(float)
-    sqrtw = np.sqrt(weights)
-    Aw = A * sqrtw[:, None]
-
-    # exact constraints: intercept equals the empty value (zero by centering),
-    # and all coefficients sum to the full-coalition value
-    C = np.zeros((2, n_basis))
-    C[0, 0] = 1.0
-    C[1, :] = 1.0
     d = fetched[np.searchsorted(planned, [0, game.full_mask])]  # (2, T)
 
-    sv = np.linalg.svd(np.vstack([Aw, C]), compute_uv=False)
-    rank = int(np.sum(sv > sv[0] * (len(masks) + 2) * np.finfo(float).eps))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    cols = np.array(basis, dtype=np.int64)
+    sqrtw = np.sqrt(weights)[:, None]
+    Aw = ((masks[:, None] & cols) == cols) * sqrtw
+    # constraints: the intercept is the empty value (zero by centering) and
+    # all coefficients sum to the full value. c0 meets them with least norm,
+    # splitting the difference evenly over the m others; null's orthonormal
+    # columns keep them: those of the Householder reflector that maps the
+    # all-ones m-vector to a multiple of e_1, but its first, under a zero
+    # intercept row
+    m = n_basis - 1
+    c0 = np.vstack([d[:1], np.repeat((d[1:] - d[:1]) / m, m, axis=0)])
+    u = np.r_[0.0, 1.0 + math.sqrt(m), np.ones(m - 1)]
+    null = np.eye(n_basis)[:, 2:] - u[:, None] / (m + math.sqrt(m))
+    z, _, rank, sv = np.linalg.lstsq(Aw @ null, values * sqrtw - Aw @ c0, rcond=None)
+    coef = c0 + null @ z
+    rank = int(rank) + 2  # the rank of [Aw; C]
+    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
     full_design = len(masks) == (1 << p) - 2
     underdetermined = rank < n_basis
     # near the interpolation regime the fit variance blows up well before the
@@ -337,22 +340,9 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
         warnings.warn(
             f"regression design is unstable (rows={len(masks)}, basis={n_basis}, "
             f"rank={rank}, condition={cond:.2e})"
-            + ("; ridge-stabilized solve" if underdetermined else ""),
+            + ("; minimum-norm solve" if underdetermined else ""),
             RuntimeWarning,
         )
-
-    H = Aw.T @ Aw
-    ridge = RIDGE if underdetermined else 0.0
-    if ridge:
-        H = H + ridge * np.eye(n_basis)
-    rhs = Aw.T @ (values * sqrtw[:, None])  # (n_basis, T)
-    kkt = np.block([[2.0 * H, C.T], [C, np.zeros((2, 2))]])
-    rhs_full = np.vstack([2.0 * rhs, d])
-    try:
-        sol = np.linalg.solve(kkt, rhs_full)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs_full, rcond=None)[0]
-    coef = sol[:n_basis]
 
     ksii = {S: coef[col] for col, S in enumerate(basis) if S != 0}
     info = {
@@ -363,6 +353,5 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
         "design_rank": rank,
         "condition": cond,
         "unstable": bool(unstable),
-        "ridge": ridge,
     }
     return ksii, info

@@ -347,6 +347,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     if "design_rank" in expl.info:
         print(f"regression design rank {expl.info['design_rank']} "
               f"(basis {expl.info['n_basis']}, "
+              f"condition {expl.info['condition']:.3g}, "
               f"unstable={expl.info['unstable']})")
     return 0
 

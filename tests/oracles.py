@@ -8,14 +8,16 @@ survival matrix, the Cox derivatives from (n, p, p) moment sums, one
 event-time draw, the scenario catalogue with every entry built, the
 term-local Moebius coefficients of a log-hazard game, the discrete-derivative
 form of the Shapley interaction index, the encoding of feature indices as
-a coalition mask, and the imputed rows of both imputers built as they were
-before the feature-major layout and the per-coalition plans). Value tables
+a coalition mask, the imputed rows of both imputers built as they were
+before the feature-major layout and the per-coalition plans, and the
+regression's coalition sampler with its list and rejection paths). Value tables
 are the library's plain (2^p, T) arrays, whose row index is the coalition
 mask.
 """
 
+import itertools
 import math
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -453,3 +455,71 @@ def in_sequence_table(predict, x: np.ndarray, imputer, grid) -> np.ndarray:
         masks.size, -1) - baseline
     out[-1] = np.asarray(predict(x[None, :], points))[0] - baseline
     return out
+
+
+def sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
+    """``approximators._sample_coalitions`` with the strata enumerated by
+    ``itertools.combinations``: the masks as a list, and their weights."""
+    sizes = list(range(1, p))
+    mass = {s: (p - 1) / (s * (p - s)) for s in sizes}
+    counts = {s: math.comb(p, s) for s in sizes}
+    chosen: List[int] = []
+    weights: List[float] = []
+    remaining = n_rows
+    open_sizes = sizes[:]
+    while open_sizes and remaining > 0:
+        total_mass = sum(mass[s] for s in open_sizes)
+        saturated = [
+            s for s in open_sizes
+            if remaining * mass[s] / total_mass >= counts[s]
+        ]
+        if not saturated:
+            break
+        for s in sorted(saturated, key=lambda s: counts[s]):
+            if counts[s] > remaining:
+                continue
+            for combo in itertools.combinations(range(p), s):
+                chosen.append(sum(1 << j for j in combo))
+                weights.append(mass[s] / counts[s])
+            remaining -= counts[s]
+            open_sizes.remove(s)
+    if open_sizes and remaining > 0:
+        total_mass = sum(mass[s] for s in open_sizes)
+        alloc = {s: remaining * mass[s] / total_mass for s in open_sizes}
+        take = {s: min(counts[s], int(a)) for s, a in alloc.items()}
+        leftovers = sorted(open_sizes, key=lambda s: alloc[s] - take[s], reverse=True)
+        short = remaining - sum(take.values())
+        for s in leftovers:
+            if short <= 0:
+                break
+            if take[s] < counts[s]:
+                take[s] += 1
+                short -= 1
+        for s in open_sizes:
+            n_s = take[s]
+            if n_s == 0:
+                continue
+            picked = sample_masks_of_size(p, s, n_s, rng)
+            per_weight = mass[s] / counts[s] * (counts[s] / n_s)
+            chosen.extend(picked)
+            weights.extend([per_weight] * n_s)
+    return chosen, np.array(weights)
+
+
+def sample_masks_of_size(p: int, s: int, n: int, rng: np.random.Generator) -> List[int]:
+    """n distinct masks of s features: by index into the list of all
+    combinations when there are at most 200,000, else by rejection."""
+    total = math.comb(p, s)
+    if total <= 200_000:
+        combos = list(itertools.combinations(range(p), s))
+        idx = rng.choice(total, size=n, replace=False)
+        picked = [combos[i] for i in idx]
+    else:
+        seen = set()
+        picked = []
+        while len(picked) < n:
+            combo = tuple(sorted(rng.choice(p, size=s, replace=False).tolist()))
+            if combo not in seen:
+                seen.add(combo)
+                picked.append(combo)
+    return [sum(1 << j for j in combo) for combo in picked]

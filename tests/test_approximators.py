@@ -1,17 +1,20 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
+import oracles
 from oracles import exact_sii
 from survix.approximators import (
     _COND_LIMIT,
-    RIDGE,
     _regression_fit,
     _sample_coalitions,
+    _unrank,
     approx_montecarlo,
     approx_permutation,
     approx_regression,
@@ -196,13 +199,13 @@ class TestRegression:
                 est, _ = approx_regression(game, 2, budget, seed=2)
             assert np.allclose(sum(est.values()), full, atol=1e-8)
 
-    def test_underdetermined_flagged_and_ridged(self):
+    def test_underdetermined_flagged_and_minimum_norm(self):
         game, _ = benchmark_game(seed=5, n_background=30, n_timepoints=3)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="minimum-norm solve"):
             est, info = approx_regression(game, 2, budget=40, seed=2)
         assert info["unstable"]
-        assert info["ridge"] > 0
-        assert info["design_rank"] <= info["n_basis"]
+        assert "ridge" not in info
+        assert info["design_rank"] < info["n_basis"]
 
     def test_budget_error_trend(self):
         game, _ = benchmark_game(seed=5, n_background=50, n_timepoints=3)
@@ -374,41 +377,52 @@ def oracle_permutation(game, k, budget, seed):
     return ksii, info
 
 
-def oracle_regression(game, k, budget, seed):
+_ORACLE_RIDGE = 1e-8
+
+
+def _oracle_design(game, k, budget, seed):
+    """The sampled regression problem: basis, weighted design Aw, weighted
+    values, the constraint rows C and their right-hand side d, and the
+    value bank."""
     p = game.p
-    if budget >= (1 << p):
-        return _oracle_fallback(game, k)
     basis = list(coalition_iter(p, k))
-    n_basis = len(basis)
     bank = _OracleValues(game, budget)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
     n_rows = min(budget - 2, (1 << p) - 2)
-    masks, weights = _sample_coalitions(p, n_rows, rng)
+    masks, weights = oracles.sample_coalitions(p, n_rows, rng)
     values = np.vstack(bank.get(masks))
-
-    A = np.empty((len(masks), n_basis))
+    A = np.empty((len(masks), len(basis)))
     for col, S in enumerate(basis):
         A[:, col] = [1.0 if (m & S) == S else 0.0 for m in masks]
     sqrtw = np.sqrt(weights)
-    Aw = A * sqrtw[:, None]
-    C = np.zeros((2, n_basis))
+    C = np.zeros((2, len(basis)))
     C[0, 0] = 1.0
     C[1, :] = 1.0
     d = np.vstack([bank.cache[0], bank.cache[game.full_mask]])
+    return basis, A * sqrtw[:, None], values * sqrtw[:, None], C, d, bank
 
+
+def oracle_regression(game, k, budget, seed):
+    """The fit through normal equations in a KKT system, with a ridge for a
+    rank-deficient design; ``info["condition"]`` is that of [Aw; C]."""
+    p = game.p
+    if budget >= (1 << p):
+        return _oracle_fallback(game, k)
+    basis, Aw, vw, C, d, bank = _oracle_design(game, k, budget, seed)
+    n_basis, n_rows = len(basis), Aw.shape[0]
     sv = np.linalg.svd(np.vstack([Aw, C]), compute_uv=False)
-    rank = int(np.sum(sv > sv[0] * (len(masks) + 2) * np.finfo(float).eps))
+    rank = int(np.sum(sv > sv[0] * (n_rows + 2) * np.finfo(float).eps))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    full_design = len(masks) == (1 << p) - 2
+    full_design = n_rows == (1 << p) - 2
     underdetermined = rank < n_basis
     unstable = underdetermined or cond > _COND_LIMIT or (
-        not full_design and len(masks) < 2 * n_basis
+        not full_design and n_rows < 2 * n_basis
     )
     H = Aw.T @ Aw
-    ridge = RIDGE if underdetermined else 0.0
+    ridge = _ORACLE_RIDGE if underdetermined else 0.0
     if ridge:
         H = H + ridge * np.eye(n_basis)
-    rhs = Aw.T @ (values * sqrtw[:, None])
+    rhs = Aw.T @ vw
     kkt = np.block([[2.0 * H, C.T], [C, np.zeros((2, 2))]])
     rhs_full = np.vstack([2.0 * rhs, d])
     try:
@@ -421,13 +435,24 @@ def oracle_regression(game, k, budget, seed):
         "method": "regression",
         "evaluations": bank.spent,
         "n_basis": n_basis,
-        "design_rows": len(masks),
+        "design_rows": n_rows,
         "design_rank": rank,
         "condition": cond,
         "unstable": bool(unstable),
         "ridge": ridge,
     }
     return ksii, info
+
+
+def min_norm_regression(game, k, budget, seed):
+    """The minimum-norm solution of the constrained least-squares fit, from
+    pseudo-inverses: c0 = pinv(C) d, N an SVD basis of C's null space, and
+    coefficients c0 + N pinv(Aw N) (vw - Aw c0)."""
+    basis, Aw, vw, C, d, _ = _oracle_design(game, k, budget, seed)
+    c0 = np.linalg.pinv(C) @ d
+    N = null_space(C)
+    coef = c0 + N @ (np.linalg.pinv(Aw @ N) @ (vw - Aw @ c0))
+    return {S: coef[col] for col, S in enumerate(basis) if S != 0}
 
 
 ESTIMATORS = {
@@ -449,6 +474,45 @@ def assert_same_estimate(got, want):
     assert est.keys() == est_want.keys()
     for mask, curve in est_want.items():
         assert np.array_equal(est[mask], curve), mask
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_close_estimate(est, want, bound):
+    assert est.keys() == want.keys()
+    for mask, curve in want.items():
+        assert np.max(np.abs(est[mask] - curve)) <= bound, mask
+
+
+def assert_regression_matches(game, k, budget, seed):
+    """A sampled fit reports the reference's info, but for the condition of
+    the matrix it solves, and has no ridge. A full-rank fit is within the
+    KKT reference's forward error: that solves the normal equations, whose
+    condition is the square of the solved matrix's kappa, so it is off by
+    about eps kappa^2 per unit of the curves' scale (at most 10.5 eps
+    kappa^2 scale over 95 full-rank designs of p = 2..10). A rank-deficient fit is the
+    minimum-norm solution, which the ridge only approximates, within a
+    backward-stable solve's eps kappa scale of the pseudo-inverse's."""
+    got = _run(approx_regression, game, k, budget, seed)
+    want = _run(oracle_regression, game, k, budget, seed)
+    if want[1]["method"] == "exact_fallback":
+        return assert_same_estimate(got, want)
+    (est, info), (est_want, info_want) = got, want
+    kappa = info.pop("condition")
+    info_want.pop("condition")
+    ridge = info_want.pop("ridge")
+    assert info == info_want
+    scale = max(1.0, max(np.max(np.abs(c)) for c in est_want.values()))
+    if ridge:
+        est_want = min_norm_regression(game, k, budget, seed)
+        assert_close_estimate(est, est_want, 64 * EPS * kappa * scale)
+    else:
+        assert_close_estimate(est, est_want, 64 * EPS * kappa ** 2 * scale)
+        # any orthonormal basis of the null space gives the solved matrix's
+        # singular values
+        _, Aw, _, C, _, _ = _oracle_design(game, k, budget, seed)
+        assert kappa == pytest.approx(np.linalg.cond(Aw @ null_space(C)), rel=1e-8)
 
 
 def elementwise_game(p, seed, n_ref, n_points):
@@ -474,7 +538,7 @@ def elementwise_game(p, seed, n_ref, n_points):
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("p", [8, 10])
-    @pytest.mark.parametrize("method", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("method", ["mc", "permutation"])
     def test_benchmark_game_bit_identical(self, p, method):
         game, _ = benchmark_game(seed=7, p=p)
         new, old = ESTIMATORS[method]
@@ -482,6 +546,27 @@ class TestAgainstOracle:
             for seed in (0, 1):
                 assert_same_estimate(_run(new, game, 2, budget, seed),
                                      _run(old, game, 2, budget, seed))
+
+    @pytest.mark.parametrize("p", [8, 10])
+    def test_benchmark_game_regression_matches(self, p):
+        game, _ = benchmark_game(seed=7, p=p)
+        for budget in (8, 16, 64, 128, 512):
+            for seed in (0, 1):
+                assert_regression_matches(game, 2, budget, seed)
+
+    def test_rank_deficient_designs_are_minimum_norm(self):
+        # fewer rows than basis columns: the fit is the minimum-norm one,
+        # which a ridge-stabilized solve misses by 1e-8 to 1e-7 of the
+        # curves' scale, far outside this bound
+        for p, budgets in ((8, (12, 24, 36)), (10, (16, 40))):
+            game, _ = benchmark_game(seed=7, p=p, n_background=20, n_timepoints=3)
+            for budget in budgets:
+                for seed in (0, 1):
+                    est, info = _run(approx_regression, game, 2, budget, seed)
+                    assert info["design_rank"] < info["n_basis"]
+                    want = min_norm_regression(game, 2, budget, seed)
+                    scale = max(1.0, max(np.max(np.abs(c)) for c in want.values()))
+                    assert_close_estimate(est, want, 64 * EPS * info["condition"] * scale)
 
     @settings(max_examples=40)
     @given(p=st.integers(2, 6), data=st.data())
@@ -498,7 +583,10 @@ class TestAgainstOracle:
                     estimate(game, k, method, budget, seed)
                 continue
             got = _run(new, game, k, budget, seed)
-            assert_same_estimate(got, _run(old, game, k, budget, seed))
+            if method == "regression":
+                assert_regression_matches(game, k, budget, seed)
+            else:
+                assert_same_estimate(got, _run(old, game, k, budget, seed))
             # determinism for a given seed, and the budget is never exceeded
             assert_same_estimate(_run(new, game, k, budget, seed), got)
             assert got[1]["evaluations"] <= budget
@@ -519,3 +607,73 @@ class TestAgainstOracle:
                 calls.clear()
                 _, info = _run(run, game, 2, 128, 0)
                 assert calls == [info["evaluations"]], method
+
+
+# ---------------------------------------------------------------------------
+# the coalition sampler against the list-and-rejection sampler it replaced
+# ---------------------------------------------------------------------------
+
+def _popcounts(masks):
+    return [bin(m).count("1") for m in masks.tolist()]
+
+
+class TestSampler:
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_unrank_enumerates_in_combinations_order(self, p):
+        for s in range(p + 1):
+            want = [sum(1 << j for j in c) for c in itertools.combinations(range(p), s)]
+            got = _unrank(p, np.full(len(want), s), np.arange(len(want)))
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @settings(max_examples=60)
+    @given(p=st.integers(2, 20), data=st.data())
+    def test_coalitions_match_the_list_sampler(self, p, data):
+        # every C(p, s) up to p = 20 is within the list sampler's 200,000
+        n_rows = data.draw(st.integers(0, min((1 << p) - 2, 3000)), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self.assert_coalitions_match(p, n_rows, seed)
+
+    # the largest strata: C(20, 10) = 184,756 of the list sampler's 200,000
+    @pytest.mark.parametrize("p, n_rows", [(10, 1022), (16, 2046), (20, 2046), (20, 6000)])
+    def test_large_strata_match_the_list_sampler(self, p, n_rows):
+        self.assert_coalitions_match(p, n_rows, seed=p)
+
+    @staticmethod
+    def assert_coalitions_match(p, n_rows, seed):
+        masks, weights = _sample_coalitions(p, n_rows, np.random.default_rng(seed))
+        want, want_weights = oracles.sample_coalitions(
+            p, n_rows, np.random.default_rng(seed))
+        assert masks.dtype == np.int64 and masks.tolist() == want
+        assert np.array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize("p", [21, 25, 30, 62])
+    def test_coalitions_past_the_list_sampler(self, p):
+        n_rows = 2046
+        masks, weights = _sample_coalitions(p, n_rows, np.random.default_rng(p))
+        assert masks.dtype == np.int64 and masks.size == weights.size == n_rows
+        assert np.unique(masks).size == n_rows
+        assert masks.min() > 0 and masks.max() < (1 << p) - 1
+        # rows of one size are one stratum: equal weights, in one run
+        sizes = np.array(_popcounts(masks))
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+        assert np.unique(sizes[starts]).size == starts.size
+        for s, w in zip(sizes[starts], weights[starts]):
+            assert np.all(weights[sizes == s] == w)
+        again = _sample_coalitions(p, n_rows, np.random.default_rng(p))
+        assert np.array_equal(masks, again[0]) and np.array_equal(weights, again[1])
+
+    @pytest.mark.parametrize("p", [21, 25, 30, 62])
+    def test_unrank_ends_and_sizes_past_the_list_sampler(self, p):
+        for s in sorted({1, 2, p // 2, p - 1}):
+            total = math.comb(p, s)
+            ranks = np.random.default_rng(s).choice(total, size=min(total, 2000),
+                                                    replace=False)
+            masks = _unrank(p, np.full(ranks.size, s), ranks)
+            assert np.unique(masks).size == ranks.size
+            assert set(_popcounts(masks)) == {s}
+            # lexicographic order is numeric order of the reversed bit strings
+            order = np.argsort(ranks)
+            keys = [int(format(m, f"0{p}b")[::-1], 2) for m in masks[order].tolist()]
+            assert keys == sorted(keys, reverse=True)
+            ends = _unrank(p, np.full(2, s), np.array([0, total - 1]))
+            assert ends.tolist() == [(1 << s) - 1, ((1 << s) - 1) << (p - s)]

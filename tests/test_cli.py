@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestExplainCommand:
                     "--budget", 300, "--timepoints", 5, "--out", tmp_path])
         assert code == 0
         out = capsys.readouterr().out
-        assert "design rank" in out
+        assert re.search(r"design rank \d+ \(basis \d+, condition [0-9.e+]+, unstable=", out)
 
     def test_order1_differs_from_order2_individual_effects(self, tmp_path):
         # aggregation reassigns interaction mass, so order-1 values are not
