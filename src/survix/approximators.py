@@ -46,15 +46,9 @@ def estimators():
 
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     """Run the estimator named ``method``; returns (ksii, info), where info
-    records the number of nodes the values were taken at as ``width``.
-
-    A regression that samples, with a budget below full enumeration, needs a
-    budget of at least 2*(k+1); at full enumeration every method is exact.
-    """
+    records the number of nodes the values were taken at as ``width``."""
     runner = estimators()[method]
     _check_order(k, game.p)
-    if method == "regression" and budget < min(2 * (k + 1), 1 << game.p):
-        raise ValueError("regression needs budget >= 2*(order+1)")
     nodes, basis_map = _width(game.predict, game.grid)
     if basis_map is None:
         ksii, info = runner(game, k, budget, seed)
@@ -293,10 +287,13 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int):
     replacement within size strata); the empty and full coalitions enter as
     exact linear constraints, so the estimates satisfy efficiency at every
     budget. Coefficients of the non-empty basis functions are the attribution
-    estimates per timepoint.
+    estimates per timepoint. A budget below full enumeration must be at least
+    2*(k+1); at full enumeration the decomposition is exact.
     """
     if budget >= (1 << game.p):
         return _exact_fallback(game, k)
+    if budget < 2 * (k + 1):
+        raise ValueError("regression needs budget >= 2*(order+1)")
     return _regression_fit(game, k, budget, seed)
 
 

@@ -11,9 +11,10 @@ the empty coalition is worth exactly zero.
 the exact path's (n, 2^p, w) value tensors block by block, and
 ``evaluate_all_coalitions`` returns one game's (2^p, T) array, whose row
 index is the coalition mask; that plain array is the value table everywhere.
-A predict chunk holds coalitions of one instance only, so no row's values
-depend on the other instances of its block, even under a callable that
-rounds a row by batch shape; it is freed before the next. Rows come
+One predict call takes the full coalition of every instance of a block.
+A chunk of imputed coalitions holds one instance's only, so under a callable
+that rounds a row by batch shape only the full coalition's values may depend
+on the other instances of a block; a chunk is freed before the next. Rows come
 mask-major (all reference rows of one coalition, then the next's), and a
 chunk's coalition means are one sum over the last axis of the
 (w, K, n_ref) view of the transposed predictions. Every built-in scale
@@ -329,20 +330,21 @@ def reference_mean(predict: PredictFn, imputer, grid: TimeGrid) -> np.ndarray:
 def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
                      masks, baseline: np.ndarray) -> np.ndarray:
     """(len(X), len(masks), w) value curves of each coalition for each row of
-    X at the w nodes (``_width``), given the (T,) ``baseline``; the empty and
-    full coalitions need no imputation."""
+    X at the w nodes (``_width``), given the (T,) ``baseline``. The empty and
+    full coalitions need no imputation: the full coalition of every row is
+    one predict call on X, before the rows' imputed chunks."""
     masks = _masks(masks, imputer.p)
     n_ref, nodes = imputer.n_reference, _width(predict, grid)[0]
     w, points, baseline = nodes.size, grid.points[nodes], baseline[nodes]
     out = np.zeros((X.shape[0], masks.size, w))
     full = masks == (1 << imputer.p) - 1
+    if full.any():
+        out[:, full] = (_checked(predict(X, points), X.shape[0], w) - baseline)[:, None]
     pending = np.flatnonzero((masks != 0) & ~full)
     per_mask = n_ref * max(w, imputer.p)
     split = per_mask * pending.size > _SPLIT_FLOATS
     step = max(1, _CHUNK_FLOATS // per_mask) if split else max(pending.size, 1)
     for x, row in zip(X, out):
-        if full.any():
-            row[full] = _checked(predict(x[None, :], points), 1, w)[0] - baseline
         for lo in range(0, pending.size, step):
             sub = pending[lo:lo + step]
             rows = imputer.rows_for(x, masks[sub])

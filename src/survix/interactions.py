@@ -284,9 +284,11 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
     _check_order(order, p)
     baseline = reference_mean(predict, imputer, grid)
+    # every row's targets, decoded once, in the canonical order of _ksii_block
+    keys = {S: indices_from_mask(S) for S in coalition_iter(p, order) if S}
 
     def explanation(ksii, info):
-        values = {indices_from_mask(S): curve for S, curve in ksii.items()}
+        values = {keys[S]: curve for S, curve in ksii.items()}
         return InteractionExplanation(order=order, target=target, grid=grid,
                                       baseline=baseline, values=values, info=info)
 
@@ -301,13 +303,12 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
     out = []
     for V in all_coalition_values(predict, X, imputer, grid, baseline):
         curves = _ksii_block(V, order)
-        targets = [S for S, _, _ in _redistribution(p, order)]
         residuals = np.abs(curves.sum(axis=1) - V[:, -1]).max(axis=1) * gain
         # the largest coalition magnitude entering the cancellations;
         # float64 cannot do better than eps times this
         scales = np.abs(V).max(axis=(1, 2)) * gain
         curves = _to_grid(curves, basis_map)
-        out += [explanation(dict(zip(targets, c)),
+        out += [explanation(dict(zip(keys, c)),
                             {"method": "exact", "evaluations": 1 << p,
                              "efficiency_residual": float(r), "table_scale": float(sc),
                              "width": nodes.size})

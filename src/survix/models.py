@@ -31,6 +31,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
@@ -40,7 +41,9 @@ from .core import PredictionTarget
 _ARCTAN_RE = re.compile(r"scaled_arctan\(\s*([-+0-9.eE]+)\s*\)")
 
 
+@lru_cache
 def _transform_fn(tag: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The transform a tag names, resolved once per tag."""
     if tag == "identity":
         return lambda x: x
     if tag == "square":
@@ -110,6 +113,8 @@ class RiskScoreSpec:
             if max(term.features) >= self.p:
                 raise ValueError(f"term {term.features} exceeds p={self.p}")
         object.__setattr__(self, "terms", terms)
+        # not a field: the features some term uses, ascending
+        object.__setattr__(self, "_used", tuple(sorted({j for t in terms for j in t.features})))
 
     @property
     def time_independent(self) -> bool:
@@ -122,8 +127,7 @@ class RiskScoreSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.p:
             raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
-        used = sorted({j for t in self.terms for j in t.features})
-        return X.shape[0], {j: np.ascontiguousarray(X[:, j]) for j in used}
+        return X.shape[0], {j: np.ascontiguousarray(X[:, j]) for j in self._used}
 
     def term_products(self, X: np.ndarray) -> np.ndarray:
         """(m, n_terms) matrix of coefficient-scaled feature products."""

@@ -199,6 +199,15 @@ class TestRegression:
                 est, _ = approx_regression(game, 2, budget, seed=2)
             assert np.allclose(sum(est.values()), full, atol=1e-8)
 
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_budget_below_minimum_rejected_by_both_entry_points(self, budget):
+        game, _ = benchmark_game(seed=5, p=6, n_background=20, n_timepoints=3)
+        message = r"regression needs budget >= 2\*\(order\+1\)"
+        with pytest.raises(ValueError, match=message):
+            approx_regression(game, 2, budget, seed=0)
+        with pytest.raises(ValueError, match=message):
+            estimate(game, 2, "regression", budget, seed=0)
+
     def test_underdetermined_flagged_and_minimum_norm(self):
         game, _ = benchmark_game(seed=5, n_background=30, n_timepoints=3)
         with pytest.warns(RuntimeWarning, match="minimum-norm solve"):

@@ -94,10 +94,9 @@ def _counting(predict):
     return counted, calls
 
 
-# Survival-scale predictions are computed row by row; the hazard scales go
-# through a matrix product whose rounding of a row depends on the batch shape
-# (BLAS picks its kernel by shape), so only chunks shaped like the oracle's
-# reproduce them bit for bit.
+# Every built-in scale is element-wise in each row's loads, so a row's
+# prediction does not depend on the shape of its batch, and the block
+# reproduces the oracle's tables bit for bit however it chunks the rows.
 def _case(p, n_ref, T, n_rows, target=PredictionTarget.SURVIVAL, conditional=False, seed=0):
     model = build_scenario(1 if p < 3 else 10)
     rng = np.random.default_rng(seed)
@@ -183,31 +182,54 @@ def test_predict_calls_per_block(monkeypatch, p, n_ref, T, n_rows, chunk_floats,
     predict, imputer, grid, X = _case(p=p, n_ref=n_ref, T=T, n_rows=n_rows)
     counted, calls = _counting(predict)
     explain_instances(counted, X, imputer, grid, 1, PredictionTarget.HAZARD)
-    # the reference mean, then per row its full coalition and its chunks
-    assert calls == [n_ref] + ([1] + row_calls) * n_rows
+    # the reference mean, the block's full coalitions, then each row's chunks
+    assert calls == [n_ref, n_rows] + row_calls * n_rows
 
 
-# On the hazard scales a row's prediction may depend on its batch (a BLAS
-# product picks its kernel by shape); the wrapper makes that dependence
-# certain, so explain and the block agree bit for bit only if no predict
-# batch mixes rows.
-@pytest.mark.parametrize("p,target", [
+def test_predict_calls_at_the_cohort_shape():
+    # criterion 1's block: 8 rows at p = 3, 1000 reference rows, 41 points
+    predict, imputer, grid, X = _case(p=3, n_ref=1000, T=41, n_rows=8)
+    counted, calls = _counting(predict)
+    explain_instances(counted, X, imputer, grid, 2, PredictionTarget.SURVIVAL)
+    assert calls == [1000, 8] + [6 * 1000] * 8
+
+
+SCALES = [
     (3, PredictionTarget.SURVIVAL),
     (2, PredictionTarget.HAZARD),
     (2, PredictionTarget.LOG_HAZARD),
     (3, PredictionTarget.HAZARD),
-])
-def test_explain_is_the_one_row_block(p, target):
-    shaped, imputer, grid, X = _case(p=p, n_ref=30, T=6, n_rows=12, target=target)
+    (3, PredictionTarget.LOG_HAZARD),
+]
 
-    def predict(Z, t):
-        return shaped(Z, t) * (1.0 + np.finfo(float).eps * Z.shape[0])
+
+@pytest.mark.parametrize("p,target", SCALES)
+def test_explain_is_the_one_row_block(p, target):
+    predict, imputer, grid, X = _case(p=p, n_ref=30, T=6, n_rows=12, target=target)
     block = explain_instances(predict, X, imputer, grid, 2, target)
     for x, expl in zip(X, block):
         one = explain(predict, x, imputer, grid, 2, target)
         assert one.info == expl.info
+        assert one.values.keys() == expl.values.keys()
         for key, curve in one.values.items():
             assert np.array_equal(curve, expl.values[key])
+
+
+# The wrapper rounds a row by the size of its batch. The block's full
+# coalitions share one predict call, so only their values may move; each
+# imputed chunk holds one row's coalitions, whose values stay bit for bit.
+@pytest.mark.parametrize("p,target", SCALES)
+def test_batch_variant_callable_moves_only_the_full_coalition(p, target):
+    shaped, imputer, grid, X = _case(p=p, n_ref=30, T=6, n_rows=12, target=target)
+
+    def predict(Z, t):
+        return shaped(Z, t) * (1.0 + np.finfo(float).eps * Z.shape[0])
+    baseline = reference_mean(predict, imputer, grid)
+    block = np.concatenate(list(all_coalition_values(predict, X, imputer, grid, baseline)))
+    one = np.concatenate([next(all_coalition_values(predict, x[None, :], imputer, grid,
+                                                    baseline)) for x in X])
+    assert np.array_equal(block[:, :-1], one[:, :-1])
+    assert not np.array_equal(block[:, -1], one[:, -1])
 
 
 @pytest.mark.parametrize("p,k", [(1, 1), (2, 2), (3, 2), (3, 3), (12, 3), (14, 3)])
