@@ -11,6 +11,12 @@ the values, so the sampling loop draws and budgets coalitions first; then one
 ``SurvivalGame.values_for_masks`` call fetches them all, and Monte Carlo and
 permutation take every sampled (K, M) discrete derivative together.
 
+Monte Carlo and permutation plan in arrays. They draw a round (Monte Carlo:
+one draw per target) or a batch of permutations with one or two generator
+calls, and charge each draw the coalitions M | L it is the first to need,
+counted by first occurrence in draw order. Targets and their submasks come
+from one read-only plan per (p, k), built on first use.
+
 Regression's coefficients are the minimum-norm solution of its two exact
 constraints (the empty and full values) plus an orthonormal basis of their
 null space times one ``np.linalg.lstsq`` solution, the minimum-norm fit of a
@@ -26,7 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, List, Set, Tuple
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,41 +72,91 @@ def _evaluate(game: SurvivalGame, planned: Iterable[int]):
     return masks, game.values_for_masks(masks)
 
 
-def _mean_derivatives(game: SurvivalGame, targets: List[int],
-                      samples: List[Tuple[int, int]], planned: Set[int]):
-    """Mean discrete derivative of each target K over its sampled (K, M)
-    pairs, plus the number of coalitions evaluated.
+class _Plan(NamedTuple):
+    """The targets of an order-k estimate over p features and their
+    submasks; ``_plan`` builds one per (p, k), read-only."""
+
+    targets: np.ndarray  # target masks in canonical order
+    sorter: np.ndarray  # argsort of targets, to look a mask up
+    sizes: np.ndarray  # each target's size
+    rank: np.ndarray  # each target's row in its size's table
+    first: np.ndarray  # each target's offset into flat
+    flat: np.ndarray  # the tables' rows, one after another
+    tables: tuple  # per size s = 1..k: ((targets, 2^s) submasks, (2^s,) signs)
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int, k: int) -> _Plan:
+    """Each size's targets list their submasks in descending order, the
+    order in which a derivative adds their values; a submask's sign is the
+    parity of what it leaves out, the same at a column for every target."""
+    targets = np.array([m for m in coalition_iter(p, k) if m], dtype=np.int64)
+    sizes = np.array([mask_size(K) for K in targets], dtype=np.int64)
+    rank = np.empty_like(sizes)
+    tables = []
+    for s in range(1, k + 1):
+        group = np.flatnonzero(sizes == s)
+        rank[group] = np.arange(group.size)
+        subs = np.stack([_submasks(int(K)) for K in targets[group]])
+        signs = np.array([-1.0 if (s - mask_size(int(L))) % 2 else 1.0
+                          for L in subs[0]])
+        tables.append((subs, signs))
+    flat = np.concatenate([subs.ravel() for subs, _ in tables])
+    first = np.cumsum(1 << sizes) - (1 << sizes)
+    arrays = [targets, np.argsort(targets), sizes, rank, first, flat]
+    for a in arrays + [a for table in tables for a in table]:
+        a.flags.writeable = False
+    return _Plan(*arrays, tuple(tables))
+
+
+def _needed(plan: _Plan, t: np.ndarray, M: np.ndarray):
+    """The coalitions M | L, L a submask of K, that draws (K = targets[t],
+    M) need, draw after draw, and the draw each one belongs to."""
+    lengths = 1 << plan.sizes[t]
+    draw = np.repeat(np.arange(t.size), lengths)
+    offsets = np.cumsum(lengths) - lengths - plan.first[t]
+    return M[draw] | plan.flat[np.arange(draw.size) - offsets[draw]], draw
+
+
+def _account(planned: np.ndarray, masks: np.ndarray, draw: np.ndarray, n: int):
+    """Budget accounting by first occurrence over ``planned`` (sorted,
+    distinct), then ``masks`` in draw order: returns the sorted distinct
+    masks of both, the draw that first plans each one (-1 if already
+    planned), and the number planned after each of the n draws."""
+    merged, first = np.unique(np.concatenate([planned, masks]), return_index=True)
+    stamp = np.concatenate([np.full(planned.size, -1), draw])[first]
+    counts = np.bincount(stamp[stamp >= 0], minlength=n)
+    return merged, stamp, planned.size + np.cumsum(counts)
+
+
+def _mean_derivatives(game: SurvivalGame, plan: _Plan, t: np.ndarray,
+                      M: np.ndarray, planned: np.ndarray):
+    """Mean discrete derivative of each target over its draws (targets[t],
+    M), from the values of the sorted coalitions ``planned``.
 
     Each derivative is the signed sum of the values of M | L over the
     submasks L of K, added in descending submask order, and each target's
     derivatives are summed in draw order: a fixed order of float additions,
     so an estimate is reproducible bit for bit.
     """
-    masks, values = _evaluate(game, planned)
+    values = game.values_for_masks(planned)
     T = values.shape[1]
-    sizes = np.array([mask_size(K) for K in targets])
-    index = {K: i for i, K in enumerate(targets)}
-    t = np.array([index[K] for K, _ in samples], dtype=np.intp)
-    conditioning = np.array([M for _, M in samples], dtype=np.int64)
+    sizes = plan.sizes[t]
     deltas = np.empty((t.size, T))
-    for s in np.unique(sizes[t]):
-        group = np.flatnonzero(sizes == s)
-        subs = np.stack([_submasks(targets[i]) for i in group])  # (targets, 2^s)
-        rows = np.flatnonzero(sizes[t] == s)
-        at = np.searchsorted(masks, conditioning[rows, None]
-                             | subs[np.searchsorted(group, t[rows])])
+    for s, (subs, signs) in enumerate(plan.tables, 1):
+        rows = np.flatnonzero(sizes == s)
+        if not rows.size:  # skip a size never drawn: its 2^s no-op sums
+            continue
+        at = np.searchsorted(planned, M[rows, None] | subs[plan.rank[t[rows]]])
         acc = np.zeros((rows.size, T))
-        for j, L in enumerate(subs[0]):
-            acc += (-1.0 if (s - mask_size(int(L))) % 2 else 1.0) * values[at[:, j]]
+        for j, sign in enumerate(signs):
+            acc += sign * values[at[:, j]]
         deltas[rows] = acc
-    sums = np.zeros((len(targets), T))
+    sums = np.zeros((plan.targets.size, T))
     np.add.at(sums, t, deltas)
-    counts = np.bincount(t, minlength=len(targets))
-    sii = {
-        K: (sums[i] / counts[i]) if counts[i] else np.zeros(T)
-        for i, K in enumerate(targets)
-    }
-    return sii, int(masks.size)
+    # a target never drawn keeps its zero sum
+    counts = np.maximum(np.bincount(t, minlength=plan.targets.size), 1)
+    return dict(zip(plan.targets.tolist(), sums / counts[:, None]))
 
 
 def _exact_fallback(game: SurvivalGame, k: int):
@@ -107,13 +164,21 @@ def _exact_fallback(game: SurvivalGame, k: int):
     return ksii, {"method": "exact_fallback", "evaluations": 1 << game.p}
 
 
-def _targets(p: int, k: int) -> List[int]:
-    return [m for m in coalition_iter(p, k) if m]
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
+
+def _mc_round(rng: np.random.Generator, inside: np.ndarray) -> np.ndarray:
+    """One Monte Carlo round: for each target (a row of ``inside``, its
+    features), a size m uniform on 0..|rest| from one ``integers`` call, and
+    as M the m features of the rest with the smallest keys of one ``random``
+    call, ties to the lower index: a uniform subset of size m."""
+    n, p = inside.shape
+    m = rng.integers(0, p - inside.sum(axis=1) + 1)
+    keys = np.where(inside, 2.0, rng.random((n, p)))  # K's features last
+    order = np.argsort(keys, axis=1, kind="stable")
+    return ((1 << order) * (np.arange(p) < m[:, None])).sum(axis=1)
+
 
 def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
     """Direct Monte-Carlo estimate of the interaction index per coalition.
@@ -121,40 +186,34 @@ def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
     For target K, subsets M of the remaining features are drawn with size
     uniform on 0..p-|K| and uniformly within each size, exactly the index's
     weight distribution, so the plain average of discrete derivatives is
-    unbiased. Sampling stops as soon as a draw no longer fits the budget.
+    unbiased. Draws come in rounds of one per target, in target order, each
+    round from two generator calls (``_mc_round``). Sampling stops as soon
+    as a draw no longer fits the budget.
     """
     p = game.p
     if budget >= (1 << p):
         return _exact_fallback(game, k)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
-    targets = _targets(p, k)
-    rests = {K: [j for j in range(p) if not (K >> j) & 1] for K in targets}
-    subs = {K: _submasks(K).tolist() for K in targets}
-    planned = {0, game.full_mask}
-    samples: List[Tuple[int, int]] = []
-    exhausted = False
-    while not exhausted:
-        progress = False
-        for K in targets:
-            rest = rests[K]
-            m_size = int(rng.integers(0, len(rest) + 1))
-            chosen = rng.choice(len(rest), size=m_size, replace=False) if m_size else []
-            M = sum(1 << rest[int(c)] for c in chosen)
-            new = {M | L for L in subs[K]} - planned
-            if len(planned) + len(new) > budget:
-                exhausted = True
-                break
-            planned |= new
-            samples.append((K, M))
-            progress = True
-        if not progress:
+    plan = _plan(p, k)
+    n = plan.targets.size
+    inside = (plan.targets[:, None] >> np.arange(p)) & 1 == 1
+    every = np.arange(n)
+    planned = np.array([0, game.full_mask], dtype=np.int64)
+    drawn = []
+    while True:
+        M = _mc_round(rng, inside)
+        merged, stamp, after = _account(planned, *_needed(plan, every, M), n)
+        fit = int(np.searchsorted(after, budget, side="right"))
+        planned = merged[stamp < fit]
+        drawn.append(M[:fit])
+        if fit < n:
             break
-    sii, evaluations = _mean_derivatives(game, targets, samples, planned)
+    t = np.resize(every, sum(d.size for d in drawn))
+    sii = _mean_derivatives(game, plan, t, np.concatenate(drawn), planned)
     ksii = aggregate_ksii(sii, k, p)
-    info = {"method": "mc", "evaluations": evaluations,
-            "samples": {mask_size(K): 0 for K in targets}}
-    for K, _ in samples:
-        info["samples"][mask_size(K)] += 1
+    counts = np.bincount(plan.sizes[t], minlength=k + 1)
+    info = {"method": "mc", "evaluations": int(planned.size),
+            "samples": {s: int(counts[s]) for s in range(1, k + 1)}}
     return ksii, info
 
 
@@ -168,36 +227,48 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
     derivative per contiguous window of each order 2..k; the preceding
     elements form the conditioning set. Window positions in a uniform random
     permutation reproduce the index's weight distribution exactly.
+
+    Permutations come in batches of one ``permuted`` call, whose rows are
+    the permutations that as many ``permutation`` calls would draw. A batch
+    holds half as many permutations as were used before it, and at least
+    enough to spend the rest of the budget at p new coalitions each; those
+    past the stop are never used, so the estimate is that of one draw at a
+    time.
     """
     p = game.p
     if budget >= (1 << p):
         return _exact_fallback(game, k)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 211)))
-    targets = _targets(p, k)
-    subs = {K: _submasks(K).tolist() for K in targets}
-    planned = {0, game.full_mask}
-    samples: List[Tuple[int, int]] = []
+    plan = _plan(p, k)
+    # a permutation's windows, order after order, position after position
+    starts = np.concatenate([np.arange(p - o + 1) for o in range(1, k + 1)])
+    ends = starts + np.repeat(np.arange(1, k + 1), p - np.arange(k))
+    planned = np.array([0, game.full_mask], dtype=np.int64)
+    ts, Ms = [], []
     n_perms = 0
     while True:
-        perm = rng.permutation(p)
-        prefixes = [0]
-        for j in perm:
-            prefixes.append(prefixes[-1] | 1 << int(j))
-        drawn = []  # (K mask, M mask): a window and the prefix before it
-        for order in range(1, k + 1):
-            for pos in range(p - order + 1):
-                drawn.append((prefixes[pos + order] ^ prefixes[pos], prefixes[pos]))
-        new = {M | L for K, M in drawn for L in subs[K]} - planned
-        if len(planned) + len(new) > budget:
+        n = max(1, n_perms // 2, -(-(budget - planned.size) // p))
+        perms = rng.permuted(np.tile(np.arange(p), (n, 1)), axis=1)
+        prefixes = np.zeros((n, p + 1), dtype=np.int64)
+        np.cumsum(1 << perms, axis=1, out=prefixes[:, 1:])
+        M = prefixes[:, starts].ravel()
+        K = prefixes[:, ends].ravel() ^ M
+        t = plan.sorter[np.searchsorted(plan.targets, K, sorter=plan.sorter)]
+        masks, draw = _needed(plan, t, M)
+        merged, stamp, after = _account(planned, masks, draw // starts.size, n)
+        # permutations that fit, and so up to the first that spends the budget
+        fit = min(int(np.searchsorted(after, budget, side="right")),
+                  int(np.searchsorted(after, budget, side="left")) + 1)
+        planned = merged[stamp < fit]
+        ts.append(t[:fit * starts.size])
+        Ms.append(M[:fit * starts.size])
+        n_perms += fit
+        if after[-1] >= budget:
             break
-        planned |= new
-        samples.extend(drawn)
-        n_perms += 1
-        if len(planned) >= budget:
-            break
-    sii, evaluations = _mean_derivatives(game, targets, samples, planned)
+    sii = _mean_derivatives(game, plan, np.concatenate(ts), np.concatenate(Ms),
+                            planned)
     ksii = aggregate_ksii(sii, k, p)
-    info = {"method": "permutation", "evaluations": evaluations,
+    info = {"method": "permutation", "evaluations": int(planned.size),
             "permutations": n_perms}
     return ksii, info
 

@@ -204,6 +204,8 @@ def _validate_options(sub: str, opt: dict) -> None:
         print(f"survix {sub}: error: {msg}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
+    if opt["seed"] < 0:
+        bad("--seed must be >= 0")
     if sub in ("simulate", "explain"):
         if opt["n"] < 1:
             bad("--n must be >= 1")

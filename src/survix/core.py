@@ -258,17 +258,21 @@ class InteractionExplanation:
         if base.shape != (T,):
             raise ValueError("baseline length must match grid")
         object.__setattr__(self, "baseline", base)
+        # one pass over the keys; a later duplicate of a key replaces it
         fixed = {}
         for key, curve in self.values.items():
-            key = tuple(sorted(int(i) for i in key))
+            key = tuple(sorted(map(int, key)))
             if not 1 <= len(key) <= self.order:
                 raise ValueError(f"coalition {key} outside orders 1..{self.order}")
-            curve = _readonly(curve)
-            if curve.shape != (T,):
+            if np.shape(curve) != (T,):
                 raise ValueError(f"curve for {key} has wrong length")
             fixed[key] = curve
-        # canonical ordering: size first, then indices
-        self.values = {k: fixed[k] for k in sorted(fixed, key=lambda s: (len(s), s))}
+        # canonical ordering: size first, then indices; the curves are the
+        # read-only rows of one array
+        keys = sorted(sorted(fixed), key=len)
+        curves = _readonly(np.array([fixed[k] for k in keys], dtype=float)
+                           if keys else np.empty((0, T)))
+        self.values = dict(zip(keys, curves))
 
     @property
     def p(self) -> int:

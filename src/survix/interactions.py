@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -255,8 +256,16 @@ class ApproximatorConfig:
         from .approximators import estimators  # local import to avoid a cycle
         if self.method not in estimators():
             raise ValueError(f"unknown approximation method {self.method!r}")
+        if not _is_integer(self.budget):
+            raise ValueError(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 2:
             raise ValueError("budget must be at least 2")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def explain(predict, x, imputer, grid: TimeGrid, order: int,

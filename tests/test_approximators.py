@@ -10,8 +10,11 @@ from scipy.linalg import null_space
 
 import oracles
 from oracles import exact_sii
+from scipy.stats import chi2
+
 from survix.approximators import (
     _COND_LIMIT,
+    _mc_round,
     _regression_fit,
     _sample_coalitions,
     _unrank,
@@ -91,6 +94,88 @@ class TestMonteCarlo:
         e2, _ = approx_montecarlo(game, 2, budget=6, seed=9)
         for mask in e1:
             assert np.array_equal(e1[mask], e2[mask])
+
+
+class TestSamplingDraws:
+    """The estimators' draws: their law, and one generator call per Monte
+    Carlo round or per batch of permutations."""
+
+    def test_numpy_permuted_rows_are_successive_permutations(self):
+        # approx_permutation draws a batch with one permuted call and relies on
+        # its rows being the permutations that successive permutation calls
+        # return; the permutation oracle draws one at a time
+        for p in range(1, 13):
+            for seed in range(4):
+                for n in (1, 3, 17):
+                    batch = np.random.default_rng(seed).permuted(
+                        np.tile(np.arange(p), (n, 1)), axis=1)
+                    one = np.random.default_rng(seed)
+                    rows = np.stack([one.permutation(p) for _ in range(n)])
+                    assert np.array_equal(batch, rows), (
+                        "numpy assumption broken: Generator.permuted on tiled "
+                        "arange(p) rows no longer equals successive "
+                        f"Generator.permutation(p) calls (p={p}, seed={seed}, n={n})")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_round_law(self, k):
+        # each target's M: size uniform on 0..|rest|, then uniform among the
+        # subsets of that size, so P(M) = 1 / ((|rest| + 1) C(|rest|, |M|));
+        # fixed seeds, so the chi-square verdict cannot change between runs
+        p, n_seeds = 5, 3000
+        targets = [K for K in coalition_iter(p, k) if K]
+        inside = (np.array(targets)[:, None] >> np.arange(p)) & 1 == 1
+        drawn = np.stack([
+            _mc_round(np.random.default_rng(np.random.SeedSequence((seed, 101))),
+                      inside)
+            for seed in range(n_seeds)])
+        for i, K in enumerate(targets):
+            assert not np.any(drawn[:, i] & K)
+            rest = [j for j in range(p) if not (K >> j) & 1]
+            cells = [sum(1 << j for j in c) for s in range(len(rest) + 1)
+                     for c in itertools.combinations(rest, s)]
+            observed = np.array([np.sum(drawn[:, i] == M) for M in cells])
+            assert observed.sum() == n_seeds
+            expected = np.array([n_seeds / ((len(rest) + 1)
+                                            * math.comb(len(rest), mask_size(M)))
+                                 for M in cells])
+            stat = float(np.sum((observed - expected) ** 2 / expected))
+            assert stat < chi2.ppf(1 - 1e-4, len(cells) - 1), (K, stat)
+
+    @staticmethod
+    def counted_calls(monkeypatch, run):
+        """The generator methods ``run`` calls, in order."""
+        calls = []
+        make = np.random.default_rng
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+                return lambda *a, **kw: calls.append(name) or method(*a, **kw)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: Counting(make(*a)))
+        return run(), calls
+
+    @pytest.mark.parametrize("k, budget", [(1, 128), (2, 128), (2, 512)])
+    def test_montecarlo_two_calls_per_round(self, monkeypatch, k, budget):
+        game, _ = benchmark_game(seed=7, p=10, n_background=20, n_timepoints=3)
+        (_, info), calls = self.counted_calls(
+            monkeypatch, lambda: approx_montecarlo(game, k, budget, 3))
+        n_targets = sum(math.comb(10, s) for s in range(1, k + 1))
+        # the round whose draw no longer fits is drawn whole
+        rounds = sum(info["samples"].values()) // n_targets + 1
+        assert calls == ["integers", "random"] * rounds
+
+    @pytest.mark.parametrize("k, budget", [(1, 128), (2, 128), (2, 512)])
+    def test_permutation_one_call_per_batch(self, monkeypatch, k, budget):
+        game, _ = benchmark_game(seed=7, p=10, n_background=20, n_timepoints=3)
+        (_, info), calls = self.counted_calls(
+            monkeypatch, lambda: approx_permutation(game, k, budget, 3))
+        assert set(calls) == {"permuted"}
+        # one call per permutation would make more calls than permutations
+        assert 4 * len(calls) <= info["permutations"]
 
 
 def permutation_window_oracle(table, p, k):
@@ -314,13 +399,15 @@ def oracle_montecarlo(game, k, budget, seed):
     exhausted = False
     while not exhausted:
         progress = False
-        for K in targets:
+        sizes = rng.integers(0, np.array([p - mask_size(K) for K in targets]) + 1)
+        keys = rng.random((len(targets), p))
+        for i, K in enumerate(targets):
             rest = [j for j in range(p) if not (K >> j) & 1]
-            m_size = int(rng.integers(0, len(rest) + 1))
-            chosen = rng.choice(len(rest), size=m_size, replace=False) if m_size else []
+            m_size = int(sizes[i])
+            chosen = sorted(rest, key=lambda j: (keys[i, j], j))[:m_size]
             M = 0
             for c in chosen:
-                M |= 1 << rest[int(c)]
+                M |= 1 << c
             needed = [M | sub for sub in _oracle_subsets_of(K)]
             if not bank.affordable(needed):
                 exhausted = True

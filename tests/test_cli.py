@@ -188,6 +188,11 @@ class TestBenchmarkCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["simulate", "explain", "validate", "benchmark"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, sub):
+        assert run([sub, "--seed", -1, "--out", tmp_path]) == 1
+        assert f"survix {sub}: error: --seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["simulate", "explain", "validate", "benchmark"])
     def test_threads_is_a_benchmark_option(self, tmp_path, sub):
         # the option is gone: every subcommand rejects it as a usage error
         assert run([sub, "--threads", 2, "--out", tmp_path]) == 1

@@ -163,6 +163,46 @@ class TestInteractionExplanation:
                                    grid=grid, baseline=np.zeros(5),
                                    values={(0,): np.zeros(4)})
 
+    @pytest.mark.parametrize("baseline, values, message", [
+        (np.zeros(5), {(0, 1): np.zeros(5)}, r"coalition \(0, 1\) outside orders 1..1"),
+        (np.zeros(5), {(): np.zeros(5)}, r"coalition \(\) outside orders 1..1"),
+        (np.zeros(5), {(0,): np.zeros(4)}, r"curve for \(0,\) has wrong length"),
+        (np.zeros(5), {(0,): np.zeros((1, 5))}, r"curve for \(0,\) has wrong length"),
+        (np.zeros(4), {(0,): np.zeros(5)}, "baseline length must match grid"),
+    ])
+    def test_validation_messages(self, baseline, values, message):
+        with pytest.raises(ValueError, match=message):
+            InteractionExplanation(order=1, target=PredictionTarget.HAZARD,
+                                   grid=build_time_grid(10, 5), baseline=baseline,
+                                   values=values)
+
+    def test_curves_are_read_only_rows_of_one_array(self):
+        rng = np.random.default_rng(4)
+        given = {(2, 0): rng.standard_normal(5), (1,): list(rng.standard_normal(5)),
+                 (np.int64(0),): rng.standard_normal(5)}
+        expl = InteractionExplanation(order=2, target=PredictionTarget.HAZARD,
+                                      grid=build_time_grid(10, 5),
+                                      baseline=np.zeros(5), values=given)
+        # canonical keys of plain ints, in canonical order: size, then indices
+        assert list(expl.values) == [(0,), (1,), (0, 2)]
+        assert all(type(i) is int for key in expl.values for i in key)
+        rows = list(expl.values.values())
+        assert all(row.base is rows[0].base for row in rows)
+        assert rows[0].base.shape == (3, 5) and not rows[0].base.flags.writeable
+        for key, want in zip(expl.values, [(np.int64(0),), (1,), (2, 0)]):
+            assert np.array_equal(expl.values[key], np.asarray(given[want], dtype=float))
+            with pytest.raises(ValueError):
+                expl.values[key][0] = 1.0
+        # the rows are copies: the caller's arrays stay writable and apart
+        given[(2, 0)][0] = 99.0
+        assert expl.values[(0, 2)][0] != 99.0
+
+    def test_no_curves(self):
+        expl = InteractionExplanation(order=1, target=PredictionTarget.HAZARD,
+                                      grid=build_time_grid(10, 5),
+                                      baseline=np.ones(5), values={})
+        assert expl.values == {} and np.array_equal(expl.attribution_sum(), np.ones(5))
+
     def test_json_round_trip_value_identical(self, tmp_path):
         expl = self._expl()
         path = tmp_path / "e.json"

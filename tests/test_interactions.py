@@ -323,6 +323,23 @@ class TestExplain:
             assert expl.info["method"] == "exact_fallback"
             assert np.array_equal(expl.values[(0,)], exact.values[(0,)])
 
+    @pytest.mark.parametrize("budget, seed, message", [
+        (20.0, 0, "budget must be an integer, got 20.0"),
+        (20.5, 0, "budget must be an integer"),
+        (True, 0, "budget must be an integer"),
+        (20, -1, "seed must be a non-negative integer, got -1"),
+        (20, 1.5, "seed must be a non-negative integer, got 1.5"),
+        (20, 1.0, "seed must be a non-negative integer"),
+    ])
+    def test_config_rejects_non_integral_budget_and_bad_seed(self, budget, seed,
+                                                             message):
+        with pytest.raises(ValueError, match=message):
+            ApproximatorConfig("mc", budget, seed=seed)
+
+    def test_config_takes_numpy_integers(self):
+        config = ApproximatorConfig("mc", np.int64(20), seed=np.uint32(7))
+        assert config.budget == 20 and config.seed == 7
+
     def test_sampled_regression_below_minimum_budget_rejected(self):
         model = build_scenario(3)
         bg = sample_features(FeatureSampler.standard(3, seed=5), 20)
