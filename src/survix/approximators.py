@@ -8,24 +8,25 @@ computation.
 
 Each estimator plans, then evaluates. What the designs draw never depends on
 the values, so the sampling loop draws and budgets coalitions first; then one
-``SurvivalGame.values_for_masks`` call fetches them all, and Monte Carlo and
-permutation take every sampled (K, M) discrete derivative together.
+``SurvivalGame.values_for_masks`` call fetches their curves on the game's own
+grid, and Monte Carlo and permutation take every sampled (K, M) discrete
+derivative together.
 
 Monte Carlo and permutation plan in arrays. They draw a round (Monte Carlo:
 one draw per target) or a batch of permutations with one or two generator
 calls, and charge each draw the coalitions M | L it is the first to need,
 counted by first occurrence in draw order. Targets and their submasks come
-from one read-only plan per (p, k), built on first use.
+from one read-only plan per (p, k), built on first use with the one subset
+picker, ``interactions._picks``.
 
 Regression's coefficients are the minimum-norm solution of its two exact
 constraints (the empty and full values) plus an orthonormal basis of their
 null space times one ``np.linalg.lstsq`` solution, the minimum-norm fit of a
 rank-deficient design; ``info["condition"]`` is that solved matrix's.
 
-An estimator works at the width of the values it fetches. ``estimate`` runs
-it on the game's values at the engine's nodes (see ``games``) and maps the
-estimated curves to the grid once; called directly, an estimator sees the
-game's T columns.
+An estimator sees its game's own grid. When a time basis maps values at the
+engine's nodes to the grid (see ``games``), ``estimate`` hands it the plain
+game over the nodes and maps the estimated curves to the grid once.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import coalition_iter, mask_size
+from .core import TimeGrid, coalition_iter
 from .games import SurvivalGame, _to_grid, _width, evaluate_all_coalitions
-from .interactions import _check_order, _submasks, aggregate_ksii, exact_ksii
+from .interactions import _check_order, _picks, aggregate_ksii, exact_ksii
 
 _COND_LIMIT = 1e8
 
@@ -53,23 +54,21 @@ def estimators():
 
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     """Run the estimator named ``method``; returns (ksii, info), where info
-    records the number of nodes the values were taken at as ``width``."""
+    records the number of nodes the values were taken at as ``width``. Under
+    a time basis (``_width``) the estimator runs on the plain game over the
+    nodes and its curves are mapped to the grid once."""
     runner = estimators()[method]
     _check_order(k, game.p)
     nodes, basis_map = _width(game.predict, game.grid)
     if basis_map is None:
         ksii, info = runner(game, k, budget, seed)
     else:
-        ksii, info = runner(game._copy_at_nodes(), k, budget, seed)
+        at_nodes = SurvivalGame(game.predict, game.x, game.imputer,
+                                TimeGrid(game.grid.points[nodes], game.grid.t_max),
+                                reference_mean=game.baseline()[nodes])
+        ksii, info = runner(at_nodes, k, budget, seed)
         ksii = dict(zip(ksii, _to_grid(np.array(list(ksii.values())), basis_map)))
     return ksii, {**info, "width": nodes.size}
-
-
-def _evaluate(game: SurvivalGame, planned: Iterable[int]):
-    """Sorted distinct planned coalitions and their value curves, fetched in
-    one ``values_for_masks`` call."""
-    masks = np.unique(np.fromiter(planned, dtype=np.int64))
-    return masks, game.values_for_masks(masks)
 
 
 class _Plan(NamedTuple):
@@ -88,19 +87,19 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=None)
 def _plan(p: int, k: int) -> _Plan:
     """Each size's targets list their submasks in descending order, the
-    order in which a derivative adds their values; a submask's sign is the
-    parity of what it leaves out, the same at a column for every target."""
-    targets = np.array([m for m in coalition_iter(p, k) if m], dtype=np.int64)
-    sizes = np.array([mask_size(K) for K in targets], dtype=np.int64)
+    order in which a derivative adds their values: one ``_picks`` call per
+    size, with the extras 2^s - 1 down to 0. A submask's sign is the parity
+    of what it leaves out, the same at a column for every target."""
+    targets = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
+    sizes = np.bitwise_count(targets).astype(np.int64)
     rank = np.empty_like(sizes)
     tables = []
     for s in range(1, k + 1):
         group = np.flatnonzero(sizes == s)
         rank[group] = np.arange(group.size)
-        subs = np.stack([_submasks(int(K)) for K in targets[group]])
-        signs = np.array([-1.0 if (s - mask_size(int(L))) % 2 else 1.0
-                          for L in subs[0]])
-        tables.append((subs, signs))
+        extras = np.arange(1 << s, dtype=np.int64)[::-1]
+        signs = np.where((s - np.bitwise_count(extras)) % 2, -1.0, 1.0)
+        tables.append((_picks(targets[group], p, extras), signs))
     flat = np.concatenate([subs.ravel() for subs, _ in tables])
     first = np.cumsum(1 << sizes) - (1 << sizes)
     arrays = [targets, np.argsort(targets), sizes, rank, first, flat]
@@ -376,7 +375,8 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
     n_rows = min(budget - 2, (1 << p) - 2)
     masks, weights = _sample_coalitions(p, n_rows, rng)
-    planned, fetched = _evaluate(game, np.concatenate([[0, game.full_mask], masks]))
+    planned = np.unique(np.concatenate([[0, game.full_mask], masks]))
+    fetched = game.values_for_masks(planned)
     values = fetched[np.searchsorted(planned, masks)]  # (n_rows, T)
     d = fetched[np.searchsorted(planned, [0, game.full_mask])]  # (2, T)
 

@@ -31,15 +31,14 @@ The engine predicts at the nodes that ``_width`` alone decides: on T > r
 points, r grid points for a callable each of whose rows is a combination of
 the r rows of its declared ``time_basis(times)`` (the first and last point
 for r = 2, the first for r = 1), else every point. Values, Moebius
-coefficients and estimates stay at the nodes, and each public entry point
-maps its result to the grid once, with ``_to_grid``. Means are taken the
-same way at any width. A prediction that is not (rows, nodes) raises
-``ValueError``.
+coefficients and estimates stay at the nodes (an estimate runs on the plain
+game over the nodes' grid), and each public entry point maps its result to
+the grid once, with ``_to_grid``. Means are taken the same way at any width.
+A prediction that is not (rows, nodes) raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import copy
 import inspect
 from dataclasses import dataclass
 from functools import lru_cache
@@ -364,17 +363,16 @@ def coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
 
 @dataclass
 class SurvivalGame:
-    """Centered coalition game for one instance on one prediction scale.
-    Games sharing a reference distribution may pass its ``reference_mean``;
-    otherwise it is predicted on first use."""
+    """Centered coalition game for one instance on one prediction scale,
+    whose values always lie on its own grid. Games sharing a reference
+    distribution may pass its ``reference_mean``; otherwise it is predicted
+    on first use."""
 
     predict: PredictFn
     x: np.ndarray
     imputer: MarginalEmpiricalImputer | ConditionalGaussianImputer
     grid: TimeGrid
     reference_mean: np.ndarray | None = None
-    # not a field: True only in a copy from ``_copy_at_nodes``
-    _at_nodes = False
 
     def __post_init__(self):
         x = np.ascontiguousarray(_instance(self.x, self.imputer.p))
@@ -397,22 +395,9 @@ class SurvivalGame:
 
     def values_for_masks(self, masks: Sequence[int]) -> np.ndarray:
         """(n_masks, T) value curves in the order of ``masks``."""
-        return self._on_grid(coalition_values(self.predict, self.x[None, :], self.imputer,
-                                              self.grid, masks, self.baseline())[0])
-
-    def _on_grid(self, values: np.ndarray) -> np.ndarray:
-        if self._at_nodes:
-            return values
+        values = coalition_values(self.predict, self.x[None, :], self.imputer, self.grid,
+                                  masks, self.baseline())[0]
         return _to_grid(values, _width(self.predict, self.grid)[1])
-
-    def _copy_at_nodes(self) -> "SurvivalGame":
-        """A copy, sharing the reference mean, whose values and value table
-        stay at the nodes (``_width``): what ``approximators.estimate`` runs
-        an estimator on when a basis maps them to the grid."""
-        self.baseline()
-        at_nodes = copy.copy(self)
-        at_nodes._at_nodes = True
-        return at_nodes
 
 
 def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeGrid,
@@ -440,7 +425,8 @@ def all_coalition_values(predict: PredictFn, X: np.ndarray, imputer, grid: TimeG
 def evaluate_all_coalitions(game: SurvivalGame) -> np.ndarray:
     """Read-only (2^p, T) values of every coalition of one game, whose row
     index is the coalition mask: the one-row case of ``all_coalition_values``."""
-    values = game._on_grid(next(all_coalition_values(
-        game.predict, game.x[None, :], game.imputer, game.grid, game.baseline()))[0])
+    values = _to_grid(next(all_coalition_values(
+        game.predict, game.x[None, :], game.imputer, game.grid, game.baseline()))[0],
+        _width(game.predict, game.grid)[1])
     values.flags.writeable = False
     return values

@@ -17,8 +17,10 @@ log-hazard, else T. The curves are mapped to the grid once per block.
 
 The redistribution of Moebius coefficients and the estimators' aggregation
 of sampled indices each cache a plan per (p, k): every target's supersets
-and weights, enumerated directly from its complement (``_supersets``). A
-weight depends only on (|S|, |R|, k).
+and weights, picked directly from its complement by ``_picks``, the one
+subset picker (the estimators' plan picks each target's submasks with it).
+A weight depends only on (|S|, |R|, k). Explanations decode their target
+masks through a read-only map cached per (p, k) as well.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Tuple
 
 import numpy as np
@@ -42,18 +45,6 @@ from .core import (
     mask_size,
 )
 from .games import SurvivalGame, _to_grid, _width, all_coalition_values, reference_mean
-
-
-def _submasks(mask: int) -> np.ndarray:
-    """All submasks of ``mask`` as an int64 array (descending order)."""
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return np.array(out, dtype=np.int64)
 
 
 def _zeta_pass(V: np.ndarray, op) -> np.ndarray:
@@ -111,16 +102,15 @@ def _bernoulli_fractions(n: int):
     return tuple(bern)
 
 
-def _supersets(targets: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
-    """(len(targets), len(extras)) supersets of coalitions of one size s:
-    each mask in ``extras`` picks features among the p - s outside a target,
-    counted from its lowest. Picking keeps order, so each row ascends or
-    descends as ``extras`` do."""
+def _picks(pools: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
+    """(len(pools), len(extras)) subsets of masks of one size: each mask in
+    ``extras`` picks features among a pool's, counted from its lowest.
+    Picking keeps order, so each row ascends or descends as ``extras`` do."""
     bits = 1 << np.arange(p, dtype=np.int64)
-    free = np.broadcast_to(bits, (targets.size, p))[(targets[:, None] & bits) == 0]
-    free = free.reshape(targets.size, -1)
-    picks = (extras[:, None] >> np.arange(free.shape[1])) & 1
-    return targets[:, None] + free @ picks.T
+    members = np.broadcast_to(bits, (pools.size, p))[(pools[:, None] & bits) != 0]
+    members = members.reshape(pools.size, -1)
+    picks = (extras[:, None] >> np.arange(members.shape[1])) & 1
+    return members @ picks.T
 
 
 @lru_cache(maxsize=16)
@@ -132,14 +122,15 @@ def _aggregation_plan(p: int, k: int):
     bern = np.array([float(b) for b in _bernoulli_fractions(k)])
     masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]  # no empty set
     sizes = np.bitwise_count(masks)
+    full = (1 << p) - 1
     lengths = np.zeros(masks.size, dtype=np.int64)
     runs = []
     for s in range(1, k + 1):
         extras = np.sort(np.fromiter(coalition_iter(p - s, k - s), dtype=np.int64))
         weights = bern[np.bitwise_count(extras)]
         at = np.flatnonzero(sizes == s)
-        runs.append((at, _supersets(masks[at], p, extras[weights != 0.0]),
-                     weights[weights != 0.0]))
+        supers = masks[at, None] + _picks(masks[at] ^ full, p, extras[weights != 0.0])
+        runs.append((at, supers, weights[weights != 0.0]))
         lengths[at] = runs[-1][2].size
     starts = np.cumsum(lengths) - lengths
     supers, coeffs = np.empty(lengths.sum(), dtype=np.int64), np.empty(lengths.sum())
@@ -197,18 +188,26 @@ def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray],
     one size share their weights."""
     masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
     sizes = np.bitwise_count(masks)
+    full = (1 << p) - 1
     out = []
     for s in range(1, k + 1):
         extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
         weights = np.array([_moebius_redistribution(s, r, k)
                             for r in range(s, p + 1)])[np.bitwise_count(extras)]
         targets = masks[sizes == s]
-        supers = _supersets(targets, p, extras[weights != 0.0])
+        supers = targets[:, None] + _picks(targets ^ full, p, extras[weights != 0.0])
         coeffs = weights[weights != 0.0]
         for a in (supers, coeffs):  # shared by every caller through the cache
             a.flags.writeable = False
         out += zip(targets.tolist(), supers, itertools.repeat(coeffs))
     return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _target_keys(p: int, k: int):
+    """Read-only map of each target coalition of size 1..k to its feature
+    indices, in the canonical order of ``_ksii_block``."""
+    return MappingProxyType({S: indices_from_mask(S) for S in coalition_iter(p, k) if S})
 
 
 def _check_order(k: int, p: int) -> None:
@@ -293,8 +292,7 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
     _check_order(order, p)
     baseline = reference_mean(predict, imputer, grid)
-    # every row's targets, decoded once, in the canonical order of _ksii_block
-    keys = {S: indices_from_mask(S) for S in coalition_iter(p, order) if S}
+    keys = _target_keys(p, order)
 
     def explanation(ksii, info):
         values = {keys[S]: curve for S, curve in ksii.items()}

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .approximators import estimate
+from .approximators import estimate, estimators
 from .core import PredictionTarget, build_time_grid
 from .games import (
     ConditionalGaussianImputer,
@@ -360,8 +360,7 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
     exact = exact_ksii(evaluate_all_coalitions(game), order)
     rows = []
-    methods = ("mc", "permutation", "regression")
-    for method, budget, rep in itertools.product(methods, budgets, range(repetitions)):
+    for method, budget, rep in itertools.product(estimators(), budgets, range(repetitions)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             est, info = estimate(game, order, method, budget, seed + 7919 * rep)

@@ -6,13 +6,13 @@ predictor of a ground-truth model, adaptive quadrature for the closed-form
 cumulative hazard, one-point model and Cox evaluations, the two-array Cox
 survival matrix, the Cox derivatives from (n, p, p) moment sums, one
 event-time draw, the scenario catalogue with every entry built, the
-term-local Moebius coefficients of a log-hazard game, the discrete-derivative
-form of the Shapley interaction index, the encoding of feature indices as
-a coalition mask, the imputed rows of both imputers built as they were
-before the feature-major layout and the per-coalition plans, and the
-regression's coalition sampler with its list and rejection paths). Value tables
-are the library's plain (2^p, T) arrays, whose row index is the coalition
-mask.
+term-local Moebius coefficients of a log-hazard game, the submasks of one
+mask at a time, the discrete-derivative form of the Shapley interaction
+index, the encoding of feature indices as a coalition mask, the imputed rows
+of both imputers built as they were before the feature-major layout and the
+per-coalition plans, and the regression's coalition sampler with its list
+and rejection paths). Value tables are the library's plain (2^p, T) arrays,
+whose row index is the coalition mask.
 """
 
 import itertools
@@ -24,7 +24,6 @@ from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, indices_from_mask, mask_size
 from survix.games import _width
-from survix.interactions import _submasks
 from survix.models import (
     CoxModel,
     GroundTruthModel,
@@ -315,6 +314,18 @@ def term_local_moebius(model: GroundTruthModel, x: np.ndarray, background: np.nd
             mask = sum(1 << j for i, j in enumerate(term.features) if a >> i & 1)
             out[mask] += coeff * factor
     return out
+
+
+def _submasks(mask: int) -> np.ndarray:
+    """All submasks of ``mask`` as an int64 array (descending order)."""
+    out = []
+    sub = mask
+    while True:
+        out.append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return np.array(out, dtype=np.int64)
 
 
 def discrete_derivative(values: np.ndarray, K: int, M: int) -> np.ndarray:

@@ -12,9 +12,11 @@ import oracles
 from oracles import exact_sii
 from scipy.stats import chi2
 
+from survix import approximators
 from survix.approximators import (
     _COND_LIMIT,
     _mc_round,
+    _plan,
     _regression_fit,
     _sample_coalitions,
     _unrank,
@@ -22,9 +24,16 @@ from survix.approximators import (
     approx_permutation,
     approx_regression,
     estimate,
+    estimators,
 )
 from survix.core import PredictionTarget, build_time_grid, coalition_iter, mask_size
-from survix.games import MarginalEmpiricalImputer, SurvivalGame, evaluate_all_coalitions
+from survix.games import (
+    MarginalEmpiricalImputer,
+    SurvivalGame,
+    _to_grid,
+    _width,
+    evaluate_all_coalitions,
+)
 from survix.interactions import aggregate_ksii, exact_ksii
 from survix.simulate import FeatureSampler, build_scenario, sample_features
 from survix.validation import benchmark_game
@@ -692,17 +701,87 @@ class TestAgainstOracle:
                 assert np.allclose(sum(got[0].values()), full, rtol=0,
                                    atol=1e-8 * scale)
 
-    def test_one_value_call_per_estimate(self):
-        # also through ``estimate``, whose copy of the game keeps its fetch
+    def test_one_value_call_per_estimate(self, monkeypatch):
+        # also through ``estimate``, which runs the estimator on a game over
+        # the nodes of its own, so the calls are counted on the class
         game, _ = benchmark_game(seed=7, p=10, n_background=20, n_timepoints=3)
         calls = []
-        fetch = game.values_for_masks
-        game.values_for_masks = lambda masks: calls.append(len(masks)) or fetch(masks)
+        fetch = SurvivalGame.values_for_masks
+        monkeypatch.setattr(SurvivalGame, "values_for_masks",
+                            lambda self, masks: calls.append(len(masks)) or fetch(self, masks))
         for method, (new, _) in sorted(ESTIMATORS.items()):
             for run in (new, lambda g, k, b, s, m=method: estimate(g, k, m, b, s)):
                 calls.clear()
                 _, info = _run(run, game, 2, 128, 0)
                 assert calls == [info["evaluations"]], method
+
+
+class TestEstimateAtNodes:
+    """Under a time basis, ``estimate`` runs the estimator on the plain game
+    over the nodes and maps its curves to the grid once."""
+
+    @pytest.mark.parametrize("method", sorted(estimators()))
+    @pytest.mark.parametrize("scenario, target, r", [
+        (8, PredictionTarget.HAZARD, 1), (10, PredictionTarget.LOG_HAZARD, 2)])
+    def test_runner_gets_the_game_over_the_nodes(self, monkeypatch, method,
+                                                 scenario, target, r):
+        model = build_scenario(scenario)
+        bg = sample_features(FeatureSampler.standard(3, seed=2), 32)
+        game = SurvivalGame(model.prediction_function(target), X_STAR,
+                            MarginalEmpiricalImputer(bg), build_time_grid(70, 11))
+        nodes, basis_map = _width(game.predict, game.grid)
+        assert nodes.size == r
+        runner, seen = estimators()[method], []
+
+        def recorded(g, *args):
+            seen.append((g, runner(g, *args)))
+            return seen[-1][1]
+        monkeypatch.setattr(approximators, runner.__name__, recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est, info = estimate(game, 2, method, 6, 0)
+        [(inner, (ksii, inner_info))] = seen
+        assert np.array_equal(inner.grid.points, game.grid.points[nodes])
+        assert inner.grid.t_max == game.grid.t_max
+        assert _width(inner.predict, inner.grid)[1] is None
+        assert np.array_equal(inner.baseline(), game.baseline()[nodes])
+        assert info == {**inner_info, "width": r}
+        assert list(est) == list(ksii)
+        want = _to_grid(np.array(list(ksii.values())), basis_map)
+        for got, curve in zip(est.values(), want):
+            assert np.array_equal(got, curve)
+
+
+# ---------------------------------------------------------------------------
+# the estimators' plan against one built target by target
+# ---------------------------------------------------------------------------
+
+class TestPlan:
+    @pytest.mark.parametrize("p, k", [(p, k) for p in range(1, 13)
+                                      for k in range(1, min(p, 4) + 1)] + [(30, 2)])
+    def test_plan_matches_the_per_target_oracle(self, p, k):
+        plan = _plan(p, k)
+        targets = [K for K in coalition_iter(p, k) if K]
+        sizes = [mask_size(K) for K in targets]
+        subs = [oracles._submasks(K) for K in targets]
+        assert plan.targets.tolist() == targets
+        assert plan.targets[plan.sorter].tolist() == sorted(targets)
+        assert plan.sizes.tolist() == sizes
+        assert plan.rank.tolist() == [sizes[:i].count(s) for i, s in enumerate(sizes)]
+        assert plan.first.tolist() == np.cumsum([0] + [1 << s for s in sizes])[:-1].tolist()
+        assert plan.flat.tolist() == np.concatenate(subs).tolist()
+        assert [table.shape for table, _ in plan.tables] == [
+            (sizes.count(s), 1 << s) for s in range(1, k + 1)]
+        for i, s in enumerate(sizes):
+            table, signs = plan.tables[s - 1]
+            assert table[plan.rank[i]].tolist() == subs[i].tolist()
+            assert signs.tolist() == [-1.0 if (s - mask_size(int(L))) % 2 else 1.0
+                                      for L in subs[i]]
+        arrays = [plan.targets, plan.sorter, plan.sizes, plan.rank, plan.first, plan.flat]
+        for a in arrays + [table for table, _ in plan.tables]:
+            assert a.dtype == np.int64 and not a.flags.writeable
+        for _, signs in plan.tables:
+            assert signs.dtype == np.float64 and not signs.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from survix.interactions import (
     ApproximatorConfig,
     _moebius_redistribution,
     _redistribution,
-    _submasks,
     explain,
     explain_instances,
 )
 from survix.simulate import build_scenario, dep_demo_covariance
+
+from oracles import _submasks
 
 
 def _oracle_table(predict, x, imputer, grid, baseline):

@@ -1,6 +1,7 @@
 """Every module-level import of a survix module, and of the test oracles, is
 used in that module; every defaulted parameter of a survix function is set
-by some call; and importing the package loads no heavy scipy submodule."""
+by some call; every private helper of survix is referenced by the package;
+and importing the package loads no heavy scipy submodule."""
 
 import ast
 import os
@@ -236,6 +237,32 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         for name, _ in _defaulted(node) if name not in passed[qualified]
     )
     assert not unused, "defaulted parameters no call sets:\n" + "\n".join(unused)
+
+
+def _private_helpers(path):
+    """(line, name) of each private module-level function and private method
+    of a module; dunder methods are not private."""
+    for node in _tree(path).body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                    and not item.name.startswith("__")):
+                yield item.lineno, item.name
+
+
+def test_every_private_helper_is_referenced_by_the_package():
+    # A private helper that no survix module names is dead code: the tests
+    # may still call it, but no library path reaches it. Move a reference
+    # implementation to tests/oracles.py instead.
+    referenced = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for line, name in _private_helpers(path) if name not in referenced]
+    assert not dead, "private helpers no survix module references:\n" + "\n".join(dead)
 
 
 def test_import_leaves_scipy_signal_and_integrate_unloaded():
