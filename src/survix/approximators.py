@@ -14,10 +14,10 @@ derivative together.
 
 Monte Carlo and permutation plan in arrays. They draw a round (Monte Carlo:
 one draw per target) or a batch of permutations with one or two generator
-calls, and charge each draw the coalitions M | L it is the first to need,
-counted by first occurrence in draw order. Targets and their submasks come
-from one read-only plan per (p, k), built on first use with the one subset
-picker, ``interactions._picks``.
+calls, list each draw's coalitions M | L once (``_needed``), charge a draw
+those it is the first to need, and keep the list's fitted prefix for the
+derivative sums. Targets, submasks and their signs come from one read-only
+plan per (p, k), built on first use with the subset picker ``_picks``.
 
 Regression's coefficients are the minimum-norm solution of its two exact
 constraints (the empty and full values) plus an orthonormal basis of their
@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import TimeGrid, coalition_iter
 from .games import SurvivalGame, _to_grid, _width, evaluate_all_coalitions
-from .interactions import _check_order, _picks, aggregate_ksii, exact_ksii
+from .interactions import ApproximatorConfig, _check_order, _picks, aggregate_ksii, exact_ksii
 
 _COND_LIMIT = 1e8
 
@@ -53,10 +53,12 @@ def estimators():
 
 
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
-    """Run the estimator named ``method``; returns (ksii, info), where info
-    records the number of nodes the values were taken at as ``width``. Under
-    a time basis (``_width``) the estimator runs on the plain game over the
-    nodes and its curves are mapped to the grid once."""
+    """Run the estimator named ``method``, once ``ApproximatorConfig``'s
+    checks pass; returns (ksii, info), where info records the number of
+    nodes the values were taken at as ``width``. Under a time basis
+    (``_width``) the estimator runs on the plain game over the nodes and its
+    curves are mapped to the grid once."""
+    ApproximatorConfig(method, budget, seed)
     runner = estimators()[method]
     _check_order(k, game.p)
     nodes, basis_map = _width(game.predict, game.grid)
@@ -78,34 +80,29 @@ class _Plan(NamedTuple):
     targets: np.ndarray  # target masks in canonical order
     sorter: np.ndarray  # argsort of targets, to look a mask up
     sizes: np.ndarray  # each target's size
-    rank: np.ndarray  # each target's row in its size's table
     first: np.ndarray  # each target's offset into flat
-    flat: np.ndarray  # the tables' rows, one after another
-    tables: tuple  # per size s = 1..k: ((targets, 2^s) submasks, (2^s,) signs)
+    flat: np.ndarray  # each target's submasks, descending, one after another
+    signs: tuple  # per size s = 1..k, the (2^s,) signs of a derivative's terms
 
 
 @lru_cache(maxsize=None)
 def _plan(p: int, k: int) -> _Plan:
-    """Each size's targets list their submasks in descending order, the
-    order in which a derivative adds their values: one ``_picks`` call per
-    size, with the extras 2^s - 1 down to 0. A submask's sign is the parity
-    of what it leaves out, the same at a column for every target."""
+    """Each target lists its submasks in descending order, the order in
+    which a derivative adds their values: one ``_picks`` call per size, with
+    the extras 2^s - 1 down to 0. A submask's sign is the parity of what it
+    leaves out, the same at a column for every target of a size."""
     targets = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
     sizes = np.bitwise_count(targets).astype(np.int64)
-    rank = np.empty_like(sizes)
-    tables = []
+    flat, signs = [], []
     for s in range(1, k + 1):
-        group = np.flatnonzero(sizes == s)
-        rank[group] = np.arange(group.size)
         extras = np.arange(1 << s, dtype=np.int64)[::-1]
-        signs = np.where((s - np.bitwise_count(extras)) % 2, -1.0, 1.0)
-        tables.append((_picks(targets[group], p, extras), signs))
-    flat = np.concatenate([subs.ravel() for subs, _ in tables])
+        flat.append(_picks(targets[sizes == s], p, extras).ravel())
+        signs.append(np.where((s - np.bitwise_count(extras)) % 2, -1.0, 1.0))
     first = np.cumsum(1 << sizes) - (1 << sizes)
-    arrays = [targets, np.argsort(targets), sizes, rank, first, flat]
-    for a in arrays + [a for table in tables for a in table]:
+    arrays = [targets, np.argsort(targets), sizes, first, np.concatenate(flat)]
+    for a in arrays + signs:
         a.flags.writeable = False
-    return _Plan(*arrays, tuple(tables))
+    return _Plan(*arrays, tuple(signs))
 
 
 def _needed(plan: _Plan, t: np.ndarray, M: np.ndarray):
@@ -129,9 +126,10 @@ def _account(planned: np.ndarray, masks: np.ndarray, draw: np.ndarray, n: int):
 
 
 def _mean_derivatives(game: SurvivalGame, plan: _Plan, t: np.ndarray,
-                      M: np.ndarray, planned: np.ndarray):
+                      masks: np.ndarray, planned: np.ndarray):
     """Mean discrete derivative of each target over its draws (targets[t],
-    M), from the values of the sorted coalitions ``planned``.
+    M), from their coalitions as ``_needed`` lists them, ``masks``, and the
+    values of the sorted coalitions ``planned``.
 
     Each derivative is the signed sum of the values of M | L over the
     submasks L of K, added in descending submask order, and each target's
@@ -141,15 +139,17 @@ def _mean_derivatives(game: SurvivalGame, plan: _Plan, t: np.ndarray,
     values = game.values_for_masks(planned)
     T = values.shape[1]
     sizes = plan.sizes[t]
+    at = np.searchsorted(planned, masks)
+    starts = np.cumsum(1 << sizes) - (1 << sizes)
     deltas = np.empty((t.size, T))
-    for s, (subs, signs) in enumerate(plan.tables, 1):
+    for s, signs in enumerate(plan.signs, 1):
         rows = np.flatnonzero(sizes == s)
         if not rows.size:  # skip a size never drawn: its 2^s no-op sums
             continue
-        at = np.searchsorted(planned, M[rows, None] | subs[plan.rank[t[rows]]])
+        cols = at[starts[rows, None] + np.arange(1 << s)]
         acc = np.zeros((rows.size, T))
         for j, sign in enumerate(signs):
-            acc += sign * values[at[:, j]]
+            acc += sign * values[cols[:, j]]
         deltas[rows] = acc
     sums = np.zeros((plan.targets.size, T))
     np.add.at(sums, t, deltas)
@@ -200,14 +200,14 @@ def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
     planned = np.array([0, game.full_mask], dtype=np.int64)
     drawn = []
     while True:
-        M = _mc_round(rng, inside)
-        merged, stamp, after = _account(planned, *_needed(plan, every, M), n)
+        masks, draw = _needed(plan, every, _mc_round(rng, inside))
+        merged, stamp, after = _account(planned, masks, draw, n)
         fit = int(np.searchsorted(after, budget, side="right"))
         planned = merged[stamp < fit]
-        drawn.append(M[:fit])
+        drawn.append(masks[draw < fit])
         if fit < n:
             break
-    t = np.resize(every, sum(d.size for d in drawn))
+    t = np.resize(every, (len(drawn) - 1) * n + fit)  # every round but the last is full
     sii = _mean_derivatives(game, plan, t, np.concatenate(drawn), planned)
     ksii = aggregate_ksii(sii, k, p)
     counts = np.bincount(plan.sizes[t], minlength=k + 1)
@@ -243,7 +243,7 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
     starts = np.concatenate([np.arange(p - o + 1) for o in range(1, k + 1)])
     ends = starts + np.repeat(np.arange(1, k + 1), p - np.arange(k))
     planned = np.array([0, game.full_mask], dtype=np.int64)
-    ts, Ms = [], []
+    ts, drawn = [], []
     n_perms = 0
     while True:
         n = max(1, n_perms // 2, -(-(budget - planned.size) // p))
@@ -260,11 +260,11 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
                   int(np.searchsorted(after, budget, side="left")) + 1)
         planned = merged[stamp < fit]
         ts.append(t[:fit * starts.size])
-        Ms.append(M[:fit * starts.size])
+        drawn.append(masks[draw < fit * starts.size])
         n_perms += fit
         if after[-1] >= budget:
             break
-    sii = _mean_derivatives(game, plan, np.concatenate(ts), np.concatenate(Ms),
+    sii = _mean_derivatives(game, plan, np.concatenate(ts), np.concatenate(drawn),
                             planned)
     ksii = aggregate_ksii(sii, k, p)
     info = {"method": "permutation", "evaluations": int(planned.size),
@@ -281,51 +281,40 @@ def _sample_coalitions(p: int, n_rows: int, rng: np.random.Generator):
     covers them entirely are enumerated, the rest are sampled without
     replacement within each size. Returns (masks, weights) where weights
     restore the full kernel-weighted objective in expectation."""
-    sizes = list(range(1, p))
-    mass = {s: (p - 1) / (s * (p - s)) for s in sizes}  # total kernel mass of size s
-    counts = {s: math.comb(p, s) for s in sizes}
-    # (size, ranks in lexicographic order, weight per row) of each stratum,
-    # after an empty one that keeps the arrays defined when n_rows = 0
-    strata = [(0, np.zeros(0, dtype=np.int64), 0.0)]
+    sizes = np.arange(1, p)
+    mass = (p - 1) / (sizes * (p - sizes))  # total kernel mass of each size
+    counts = np.array([math.comb(p, s) for s in sizes.tolist()], dtype=np.int64)
+    take = np.zeros(sizes.size, dtype=np.int64)  # rows of each size
+    enumerated = np.zeros(sizes.size, dtype=bool)
+    listing = []  # the sizes' rows in output order, as indices into sizes
     remaining = n_rows
-    open_sizes = sizes[:]
     # repeatedly peel off strata that the proportional allocation saturates
-    while open_sizes and remaining > 0:
-        total_mass = sum(mass[s] for s in open_sizes)
-        saturated = [
-            s for s in open_sizes
-            if remaining * mass[s] / total_mass >= counts[s]
-        ]
-        if not saturated:
+    # (those of one pass hold at most the remaining rows together), then
+    # sample the rest in proportion
+    while remaining > 0 and not enumerated.all():
+        open_ = np.flatnonzero(~enumerated)
+        alloc = remaining * mass[open_] / sum(mass[open_])
+        saturated = open_[alloc >= counts[open_]]
+        if not saturated.size:
+            take[open_] = np.minimum(counts[open_], alloc.astype(np.int64))
+            # a row each, largest remainder first, to the strata with room
+            leftovers = open_[np.argsort(take[open_] - alloc, kind="stable")]
+            room = leftovers[take[leftovers] < counts[leftovers]]
+            take[room[:remaining - int(take[open_].sum())]] += 1
+            listing += open_[take[open_] > 0].tolist()
             break
-        for s in sorted(saturated, key=lambda s: counts[s]):
-            if counts[s] > remaining:
-                continue
-            strata.append((s, np.arange(counts[s]), mass[s] / counts[s]))
-            remaining -= counts[s]
-            open_sizes.remove(s)
-    if open_sizes and remaining > 0:
-        total_mass = sum(mass[s] for s in open_sizes)
-        alloc = {s: remaining * mass[s] / total_mass for s in open_sizes}
-        take = {s: min(counts[s], int(a)) for s, a in alloc.items()}
-        leftovers = sorted(open_sizes, key=lambda s: alloc[s] - take[s], reverse=True)
-        short = remaining - sum(take.values())
-        for s in leftovers:
-            if short <= 0:
-                break
-            if take[s] < counts[s]:
-                take[s] += 1
-                short -= 1
-        for s in open_sizes:
-            n_s = take[s]
-            if n_s == 0:
-                continue
-            ranks = rng.choice(counts[s], size=n_s, replace=False)
-            strata.append((s, ranks, mass[s] / counts[s] * (counts[s] / n_s)))
-    lengths = [ranks.size for _, ranks, _ in strata]
-    masks = _unrank(p, np.repeat([s for s, _, _ in strata], lengths),
-                    np.concatenate([ranks for _, ranks, _ in strata]))
-    return masks, np.repeat([w for _, _, w in strata], lengths)
+        saturated = saturated[np.argsort(counts[saturated], kind="stable")]
+        enumerated[saturated], take[saturated] = True, counts[saturated]
+        listing += saturated.tolist()
+        remaining -= int(counts[saturated].sum())
+    ranks = [np.arange(counts[i]) if enumerated[i] else
+             rng.choice(counts[i], size=take[i], replace=False) for i in listing]
+    masks = _unrank(p, np.repeat(sizes[listing], take[listing]),
+                    np.concatenate([np.zeros(0, dtype=np.int64), *ranks]))
+    # in Python ints, whose quotient is exact past 2^53
+    weights = [mass[i] / c * (c / n) for i, c, n in
+               zip(listing, counts[listing].tolist(), take[listing].tolist())]
+    return masks, np.repeat(weights, take[listing])
 
 
 def _unrank(p: int, sizes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -370,8 +359,8 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int):
 def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
     """``approx_regression``'s fit; at full enumeration, of the full design."""
     p = game.p
-    basis = list(coalition_iter(p, k))  # leading entry is the empty set
-    n_basis = len(basis)
+    targets = _plan(p, k).targets
+    n_basis = targets.size + 1  # the leading column is the empty set's
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 307)))
     n_rows = min(budget - 2, (1 << p) - 2)
     masks, weights = _sample_coalitions(p, n_rows, rng)
@@ -380,7 +369,7 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
     values = fetched[np.searchsorted(planned, masks)]  # (n_rows, T)
     d = fetched[np.searchsorted(planned, [0, game.full_mask])]  # (2, T)
 
-    cols = np.array(basis, dtype=np.int64)
+    cols = np.r_[0, targets]
     sqrtw = np.sqrt(weights)[:, None]
     Aw = ((masks[:, None] & cols) == cols) * sqrtw
     # constraints: the intercept is the empty value (zero by centering) and
@@ -412,7 +401,7 @@ def _regression_fit(game: SurvivalGame, k: int, budget: int, seed: int):
             RuntimeWarning,
         )
 
-    ksii = {S: coef[col] for col, S in enumerate(basis) if S != 0}
+    ksii = dict(zip(targets.tolist(), coef[1:]))
     info = {
         "method": "regression",
         "evaluations": int(planned.size),

@@ -20,6 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .approximators import estimators
 from .core import (
     InteractionExplanation,
     PredictionTarget,
@@ -122,8 +123,7 @@ def _build_parser():
     p_exp.add_argument("--target", choices=[t.value for t in PredictionTarget],
                        default="loghazard")
     p_exp.add_argument("--order", type=int, default=2)
-    p_exp.add_argument("--method", choices=["exact", "mc", "perm", "regression"],
-                       default="exact")
+    p_exp.add_argument("--method", choices=["exact", *estimators()], default="exact")
     p_exp.add_argument("--budget", type=int, default=256)
     p_exp.add_argument("--timepoints", type=int, default=41)
     p_exp.add_argument("--imputation", choices=["marginal", "conditional"],
@@ -239,6 +239,8 @@ def _validate_options(sub: str, opt: dict) -> None:
             bad("--budgets must be comma-separated integers")
         if max(budgets) > (1 << opt["p"]):
             bad("budget exceeds full enumeration for this p")
+        if min(budgets) < min(2 * (opt["order"] + 1), 1 << opt["p"]):
+            bad("regression needs budget >= 2*(order+1)")
     if sub == "validate":
         unknown = [n for n in _suites(opt["only"]) if n not in SUITES]
         if unknown:
@@ -328,14 +330,8 @@ def cmd_explain(cfg: RunConfig) -> int:
         imputer = MarginalEmpiricalImputer(background)
 
     grid = build_time_grid(opt["t_max"], opt["timepoints"])
-    if opt["method"] == "exact":
-        method = "exact"
-    else:
-        method = ApproximatorConfig(
-            method={"mc": "mc", "perm": "permutation",
-                    "regression": "regression"}[opt["method"]],
-            budget=opt["budget"], seed=opt["seed"],
-        )
+    method = "exact" if opt["method"] == "exact" else ApproximatorConfig(
+        opt["method"], budget=opt["budget"], seed=opt["seed"])
     expl = explain(predict_builder(target), x, imputer, grid, opt["order"],
                    target, method=method)
     expl.to_csv(cfg.out_dir / "explanation.csv")

@@ -2,8 +2,10 @@
 interaction explanations.
 
 Coalitions are plain integer bitmasks over feature indices ``0..p-1``.
-All container types are immutable after construction (their numpy buffers
-are marked read-only), so they can be shared freely between workers.
+``TimeGrid`` and ``SurvivalDataset`` are frozen, with read-only numpy
+buffers, so they can be shared freely between workers. An
+``InteractionExplanation`` keeps read-only curves, but its fields can be
+reassigned.
 """
 
 from __future__ import annotations

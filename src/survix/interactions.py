@@ -16,11 +16,11 @@ target coalition, over all N. The w columns are the engine's nodes (see
 log-hazard, else T. The curves are mapped to the grid once per block.
 
 The redistribution of Moebius coefficients and the estimators' aggregation
-of sampled indices each cache a plan per (p, k): every target's supersets
-and weights, picked directly from its complement by ``_picks``, the one
-subset picker (the estimators' plan picks each target's submasks with it).
-A weight depends only on (|S|, |R|, k). Explanations decode their target
-masks through a read-only map cached per (p, k) as well.
+of sampled indices each cache a plan per (p, k), targets in canonical order:
+each target's supersets and weights, picked from its complement by
+``_picks``, the one subset picker (the estimators' plan picks each target's
+submasks with it). A weight depends only on (|S|, |R|, k). Explanations
+decode their target masks through a read-only map cached per (p, k) too.
 """
 
 from __future__ import annotations
@@ -115,30 +115,27 @@ def _picks(pools: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _aggregation_plan(p: int, k: int):
-    """Row of each coalition of size 1..k (ascending masks), then, target by
+    """Row of each coalition of size 1..k (canonical order), then, target by
     target in row order, the rows of its supersets of size <= k in ascending
     mask order with their non-zero Bernoulli weights B_{r-s}, flat, and
     where each target's run starts."""
     bern = np.array([float(b) for b in _bernoulli_fractions(k)])
-    masks = np.sort(np.fromiter(coalition_iter(p, k), dtype=np.int64))[1:]  # no empty set
+    masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
     sizes = np.bitwise_count(masks)
     full = (1 << p) - 1
-    lengths = np.zeros(masks.size, dtype=np.int64)
-    runs = []
+    supers, coeffs = [], []
     for s in range(1, k + 1):
         extras = np.sort(np.fromiter(coalition_iter(p - s, k - s), dtype=np.int64))
         weights = bern[np.bitwise_count(extras)]
-        at = np.flatnonzero(sizes == s)
-        supers = masks[at, None] + _picks(masks[at] ^ full, p, extras[weights != 0.0])
-        runs.append((at, supers, weights[weights != 0.0]))
-        lengths[at] = runs[-1][2].size
-    starts = np.cumsum(lengths) - lengths
-    supers, coeffs = np.empty(lengths.sum(), dtype=np.int64), np.empty(lengths.sum())
-    for at, sup, weights in runs:
-        place = starts[at, None] + np.arange(weights.size)
-        supers[place], coeffs[place] = sup, weights
-    return ({S: i for i, S in enumerate(masks.tolist())},
-            np.searchsorted(masks, supers), coeffs, starts)
+        keep = weights != 0.0
+        targets = masks[sizes == s]
+        supers.append(targets[:, None] + _picks(targets ^ full, p, extras[keep]))
+        coeffs.append(np.broadcast_to(weights[keep], supers[-1].shape))
+    lengths = np.array([c.shape[1] for c in coeffs])[sizes - 1]
+    sorter = np.argsort(masks)
+    rows = sorter[np.searchsorted(masks, np.concatenate(supers, axis=None), sorter=sorter)]
+    return ({S: i for i, S in enumerate(masks.tolist())}, rows,
+            np.concatenate(coeffs, axis=None), np.cumsum(lengths) - lengths)
 
 
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:

@@ -27,7 +27,7 @@ SCENARIO_IDS = tuple(range(1, 11)) + ("dep_demo",)
 # event times beyond this horizon are treated as never occurring
 _TIME_CAP = 1e6
 
-_PURPOSES = {"features": 11, "event_u": 23, "conditional": 37, "benchmark": 53}
+_PURPOSES = {"features": 11, "event_u": 23}
 
 
 def rng_stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:

@@ -307,13 +307,16 @@ SUITES = {
 
 
 def run_suites(names: Iterable[str] | None = None, seed: int = 7,
-               **kwargs) -> List[CheckResult]:
+               tol: float = CLASSIFY_TOL) -> List[CheckResult]:
+    """The checks of the named suites, all by default; ``tol`` is the
+    time-dependence tolerance of the suites that classify, thm1 and thm2."""
     names = list(names) if names else list(SUITES)
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.extend(SUITES[name](seed=seed, **kwargs))
+        extra = {"tol": tol} if name in ("thm1", "thm2") else {}
+        results.extend(SUITES[name](seed=seed, **extra))
     return results
 
 
@@ -357,6 +360,8 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
         raise ValueError("the exact oracle is restricted to p <= 16")
     if max(budgets) > (1 << p):
         raise ValueError("budget exceeds full enumeration")
+    if min(budgets) < min(2 * (order + 1), 1 << p):  # below regression's floor
+        raise ValueError("regression needs budget >= 2*(order+1)")
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
     exact = exact_ksii(evaluate_all_coalitions(game), order)
     rows = []

@@ -6,7 +6,8 @@ predictor of a ground-truth model, adaptive quadrature for the closed-form
 cumulative hazard, one-point model and Cox evaluations, the two-array Cox
 survival matrix, the Cox derivatives from (n, p, p) moment sums, one
 event-time draw, the scenario catalogue with every entry built, the
-term-local Moebius coefficients of a log-hazard game, the submasks of one
+term-local Moebius coefficients of a log-hazard game, a sum of unanimity
+games (SOUM) with its closed-form k-SII, the submasks of one
 mask at a time, the discrete-derivative form of the Shapley interaction
 index, the encoding of feature indices as a coalition mask, the imputed rows
 of both imputers built as they were before the feature-major layout and the
@@ -23,7 +24,8 @@ import numpy as np
 from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, indices_from_mask, mask_size
-from survix.games import _width
+from survix.games import MarginalEmpiricalImputer, SurvivalGame, _width
+from survix.interactions import _moebius_redistribution
 from survix.models import (
     CoxModel,
     GroundTruthModel,
@@ -313,6 +315,33 @@ def term_local_moebius(model: GroundTruthModel, x: np.ndarray, background: np.nd
                         for b in range(1 << k) if b & a == b)
             mask = sum(1 << j for i, j in enumerate(term.features) if a >> i & 1)
             out[mask] += coeff * factor
+    return out
+
+
+def soum_game(p: int, terms, grid) -> SurvivalGame:
+    """A sum of unanimity games (SOUM) at ``x = 1`` with one background row
+    of zeros: ``predict(X, t) = sum_T c_T(t) prod_{j in T} X_j``, where
+    ``c_T(t) = a_T + b_T log1p(t)`` for each (T, a_T, b_T) of ``terms``. A
+    coalition's value is the sum of the c_T of the terms it contains, so a
+    term's only Moebius coefficient is c_T, at T."""
+    def predict(X, times):
+        out = np.zeros((X.shape[0], len(times)))
+        for T, a, b in terms:
+            out += np.prod(X[:, indices_from_mask(T)], axis=1)[:, None] * (a + b * np.log1p(times))
+        return out
+    return SurvivalGame(predict, np.ones(p), MarginalEmpiricalImputer(np.zeros((1, p))), grid)
+
+
+def soum_ksii(p: int, terms, k: int, times) -> Dict[int, np.ndarray]:
+    """Closed-form order-k k-SII of ``soum_game``: for |S| <= k, the sum
+    over the terms T containing S of
+    ``_moebius_redistribution(|S|, |T|, k) * c_T(t)``."""
+    out = {S: np.zeros(len(times)) for S in coalition_iter(p, k) if S}
+    for T, a, b in terms:
+        curve = a + b * np.log1p(times)
+        for S in out:
+            if S & T == S:
+                out[S] += _moebius_redistribution(mask_size(S), mask_size(T), k) * curve
     return out
 
 

@@ -167,13 +167,25 @@ def oracle_aggregation_plan(p, k):
             np.cumsum([0] + [c.size for c in coeffs[:-1]]))
 
 
+def _runs(plan):
+    """Each target's superset masks and weights, in run order, of a plan
+    (row map, rows, weights, run starts)."""
+    row, rows, coeffs, starts = plan
+    masks = np.array(list(row))
+    return {S: (masks[rows[a:b]].tolist(), coeffs[a:b].tolist())
+            for S, a, b in zip(row, starts, np.r_[starts[1:], rows.size])}
+
+
 @pytest.mark.parametrize("p,k", [(p, k) for p in range(1, 13) for k in range(1, p + 1)]
                          + [(30, 3), (30, 4)])
 def test_aggregation_plan_matches_the_all_pairs_build(p, k):
+    # the same runs, targets in canonical order instead of ascending masks
     got, want = _aggregation_plan(p, k), oracle_aggregation_plan(p, k)
-    assert got[0] == want[0]
+    assert list(got[0]) == [S for S in coalition_iter(p, k) if S]
+    assert list(got[0].values()) == list(range(len(got[0])))
+    assert _runs(got) == _runs(want)
     for a, b in zip(got[1:], want[1:]):
-        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert a.dtype == b.dtype and a.shape == b.shape
 
 
 @settings(max_examples=40)

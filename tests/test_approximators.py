@@ -12,7 +12,7 @@ import oracles
 from oracles import exact_sii
 from scipy.stats import chi2
 
-from survix import approximators
+from survix import approximators, validation
 from survix.approximators import (
     _COND_LIMIT,
     _mc_round,
@@ -36,7 +36,7 @@ from survix.games import (
 )
 from survix.interactions import aggregate_ksii, exact_ksii
 from survix.simulate import FeatureSampler, build_scenario, sample_features
-from survix.validation import benchmark_game
+from survix.validation import benchmark_game, run_benchmark
 
 X_STAR = np.array([-1.2650, 2.4162, -0.6436])
 
@@ -716,6 +716,26 @@ class TestAgainstOracle:
                 assert calls == [info["evaluations"]], method
 
 
+class TestEstimateChecks:
+    """``estimate`` applies ``ApproximatorConfig``'s name and budget rules."""
+
+    @pytest.mark.parametrize("method", ["mc", "permutation"])
+    def test_budget_below_two_rejected(self, method):
+        game, _ = benchmark_game(seed=5, p=4, n_background=10, n_timepoints=3)
+        with pytest.raises(ValueError, match="budget must be at least 2"):
+            estimate(game, 2, method, 1, 0)
+
+    def test_unknown_method_rejected(self):
+        game, _ = benchmark_game(seed=5, p=4, n_background=10, n_timepoints=3)
+        with pytest.raises(ValueError, match="unknown approximation method 'nope'"):
+            estimate(game, 2, "nope", 64, 0)
+
+    def test_benchmark_checks_every_budget_before_the_first_estimate(self, monkeypatch):
+        monkeypatch.setattr(validation, "estimate", lambda *a: pytest.fail("an estimate ran"))
+        with pytest.raises(ValueError, match=r"regression needs budget >= 2\*\(order\+1\)"):
+            run_benchmark(budgets=(64, 4), repetitions=1, p=6, n_timepoints=3)
+
+
 class TestEstimateAtNodes:
     """Under a time basis, ``estimate`` runs the estimator on the plain game
     over the nodes and maps its curves to the grid once."""
@@ -767,20 +787,15 @@ class TestPlan:
         assert plan.targets.tolist() == targets
         assert plan.targets[plan.sorter].tolist() == sorted(targets)
         assert plan.sizes.tolist() == sizes
-        assert plan.rank.tolist() == [sizes[:i].count(s) for i, s in enumerate(sizes)]
         assert plan.first.tolist() == np.cumsum([0] + [1 << s for s in sizes])[:-1].tolist()
         assert plan.flat.tolist() == np.concatenate(subs).tolist()
-        assert [table.shape for table, _ in plan.tables] == [
-            (sizes.count(s), 1 << s) for s in range(1, k + 1)]
+        assert [signs.shape for signs in plan.signs] == [(1 << s,) for s in range(1, k + 1)]
         for i, s in enumerate(sizes):
-            table, signs = plan.tables[s - 1]
-            assert table[plan.rank[i]].tolist() == subs[i].tolist()
-            assert signs.tolist() == [-1.0 if (s - mask_size(int(L))) % 2 else 1.0
-                                      for L in subs[i]]
-        arrays = [plan.targets, plan.sorter, plan.sizes, plan.rank, plan.first, plan.flat]
-        for a in arrays + [table for table, _ in plan.tables]:
+            assert plan.signs[s - 1].tolist() == [-1.0 if (s - mask_size(int(L))) % 2
+                                                  else 1.0 for L in subs[i]]
+        for a in [plan.targets, plan.sorter, plan.sizes, plan.first, plan.flat]:
             assert a.dtype == np.int64 and not a.flags.writeable
-        for _, signs in plan.tables:
+        for signs in plan.signs:
             assert signs.dtype == np.float64 and not signs.flags.writeable
 
 

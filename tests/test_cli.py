@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from survix.cli import main
+from survix import validation
+from survix.approximators import estimators
+from survix.cli import _build_parser, main
 from survix.core import InteractionExplanation, SurvivalDataset
 from survix.models import model_to_json
 from survix.simulate import simulate_dataset
@@ -45,6 +47,11 @@ class TestSimulateCommand:
 
 
 class TestExplainCommand:
+    def test_method_choices_are_exact_and_the_estimators(self):
+        _, commands = _build_parser()
+        [action] = [a for a in commands["explain"]._actions if a.dest == "method"]
+        assert action.choices == ["exact", *estimators()]
+
     def test_exact_on_dataset_index(self, tmp_path):
         run(["simulate", "--scenario", 2, "--n", 120, "--out", tmp_path])
         code = run(["explain", "--scenario", 2, "--data",
@@ -150,6 +157,13 @@ class TestValidateCommand:
         assert "marginal_inert_feature_zero" in out
         assert "conditional_inert_feature_nonzero" in out
 
+    def test_tolerance_reaches_only_the_suites_that_classify(self, tmp_path):
+        code = run(["validate", "--only", "thm1,identities", "--tol", 1e-3,
+                    "--out", tmp_path])
+        assert code == 0
+        report = (tmp_path / "validate_report.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in report} == {"thm1", "identities"}
+
     def test_tampered_tolerance_fails_controlled(self, tmp_path, capsys):
         code = run(["validate", "--tol", 1e-300, "--out", tmp_path])
         assert code == 3
@@ -175,6 +189,13 @@ class TestBenchmarkCommand:
         code = run(["benchmark", "--budgets", "64,5000", "--p", 10,
                     "--reps", 1, "--out", tmp_path])
         assert code == 1
+
+    def test_budget_below_the_regression_floor_is_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(validation, "estimate", lambda *a: pytest.fail("an estimate ran"))
+        code = run(["benchmark", "--budgets", "4,64", "--reps", 1, "--out", tmp_path])
+        assert code == 1
+        assert "regression needs budget >= 2*(order+1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
         (["--order", 0], "--order must lie in 1..10"),
@@ -275,7 +296,7 @@ class TestManifestReplay:
     def test_explain_a_conditional_estimate(self, tmp_path):
         self._replay(tmp_path, ["explain", "--scenario", "dep_demo", "--n", 80,
                                 "--instance", 2, "--imputation", "conditional",
-                                "--n-samples", 50, "--method", "perm",
+                                "--n-samples", 50, "--method", "permutation",
                                 "--budget", 6, "--timepoints", 5, "--seed", 11],
                      ["explanation.csv", "explanation.json"])
 

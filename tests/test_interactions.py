@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import discrete_derivative, exact_sii, term_local_moebius
+from oracles import discrete_derivative, exact_sii, soum_game, soum_ksii, term_local_moebius
 from survix.core import PredictionTarget, build_time_grid, mask_size
 from survix.games import MarginalEmpiricalImputer, SurvivalGame, evaluate_all_coalitions
 from survix.interactions import (
@@ -133,6 +133,25 @@ class TestTermLocalOracle:
         sizes = np.array([mask_size(m) for m in range(1 << p)])
         bound = 2.0**sizes * (100 + sizes + 4) * np.finfo(float).eps * largest
         assert np.all(np.abs(mo - oracle).max(axis=1) <= bound)
+
+
+class TestSoumClosedForm:
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_closed_form_matches_the_exact_path(self, p):
+        rng = np.random.default_rng(p)
+        terms = [(int(T), rng.normal(), rng.normal())
+                 for T in rng.integers(1, 1 << p, size=10)]
+        grid = build_time_grid(T_MAX, 7)
+        table = evaluate_all_coalitions(soum_game(p, terms, grid))
+        # every value sums at most len(terms) curves of |c_T| <= scale in
+        # total, and the transform and the contraction make p passes over
+        # them; measured at most 0.7 eps * scale
+        scale = sum(abs(a) + abs(b) * np.log1p(grid.points) for _, a, b in terms).max()
+        bound = (p + len(terms)) * np.finfo(float).eps * scale
+        for k in range(1, p + 1):
+            got, want = exact_ksii(table, k), soum_ksii(p, terms, k, grid.points)
+            assert list(got) == list(want)
+            assert max(np.abs(got[S] - want[S]).max() for S in want) <= bound
 
 
 class TestDiscreteDerivative:
