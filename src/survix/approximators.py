@@ -2,9 +2,9 @@
 
 All three estimators count one budget unit per distinct coalition whose value
 curve is evaluated (reference-row predictions inside a single value are not
-budget units). The empty and full coalitions are always evaluated. When the
-budget covers full enumeration, every estimator defers to the exact
-computation.
+budget units). The empty and full coalitions are always evaluated, and
+``least_budget`` gives each estimator's least budget. At full enumeration
+every estimator defers to the exact computation.
 
 Each estimator plans, then evaluates. What the designs draw never depends on
 the values, so the sampling loop draws and budgets coalitions first; then one
@@ -16,8 +16,8 @@ Monte Carlo and permutation plan in arrays. They draw a round (Monte Carlo:
 one draw per target) or a batch of permutations with one or two generator
 calls, list each draw's coalitions M | L once (``_needed``), charge a draw
 those it is the first to need, and keep the list's fitted prefix for the
-derivative sums. Targets, submasks and their signs come from one read-only
-plan per (p, k), built on first use with the subset picker ``_picks``.
+derivative sums. Targets, submasks and signs come from ``interactions._plan``,
+the one read-only plan per (p, k), which their aggregation reads too.
 
 Regression's coefficients are the minimum-norm solution of its two exact
 constraints (the empty and full values) plus an orthonormal basis of their
@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeGrid, coalition_iter
+from .core import TimeGrid
 from .games import SurvivalGame, _to_grid, _width, evaluate_all_coalitions
-from .interactions import ApproximatorConfig, _check_order, _picks, aggregate_ksii, exact_ksii
+from .interactions import (ApproximatorConfig, _check_order, _Plan, _plan, aggregate_ksii,
+                           exact_ksii)
 
 _COND_LIMIT = 1e8
 
@@ -50,6 +49,11 @@ def estimators():
     call, so a wrapped module attribute is the function called."""
     return {"mc": approx_montecarlo, "permutation": approx_permutation,
             "regression": approx_regression}
+
+
+def least_budget(method: str, k: int, p: int) -> int:
+    """The least budget ``method`` takes at order k over p features."""
+    return min(2 * (k + 1), 1 << p) if method == "regression" else 2
 
 
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
@@ -71,38 +75,6 @@ def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
         ksii, info = runner(at_nodes, k, budget, seed)
         ksii = dict(zip(ksii, _to_grid(np.array(list(ksii.values())), basis_map)))
     return ksii, {**info, "width": nodes.size}
-
-
-class _Plan(NamedTuple):
-    """The targets of an order-k estimate over p features and their
-    submasks; ``_plan`` builds one per (p, k), read-only."""
-
-    targets: np.ndarray  # target masks in canonical order
-    sorter: np.ndarray  # argsort of targets, to look a mask up
-    sizes: np.ndarray  # each target's size
-    first: np.ndarray  # each target's offset into flat
-    flat: np.ndarray  # each target's submasks, descending, one after another
-    signs: tuple  # per size s = 1..k, the (2^s,) signs of a derivative's terms
-
-
-@lru_cache(maxsize=None)
-def _plan(p: int, k: int) -> _Plan:
-    """Each target lists its submasks in descending order, the order in
-    which a derivative adds their values: one ``_picks`` call per size, with
-    the extras 2^s - 1 down to 0. A submask's sign is the parity of what it
-    leaves out, the same at a column for every target of a size."""
-    targets = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
-    sizes = np.bitwise_count(targets).astype(np.int64)
-    flat, signs = [], []
-    for s in range(1, k + 1):
-        extras = np.arange(1 << s, dtype=np.int64)[::-1]
-        flat.append(_picks(targets[sizes == s], p, extras).ravel())
-        signs.append(np.where((s - np.bitwise_count(extras)) % 2, -1.0, 1.0))
-    first = np.cumsum(1 << sizes) - (1 << sizes)
-    arrays = [targets, np.argsort(targets), sizes, first, np.concatenate(flat)]
-    for a in arrays + signs:
-        a.flags.writeable = False
-    return _Plan(*arrays, tuple(signs))
 
 
 def _needed(plan: _Plan, t: np.ndarray, M: np.ndarray):
@@ -190,6 +162,8 @@ def approx_montecarlo(game: SurvivalGame, k: int, budget: int, seed: int):
     as a draw no longer fits the budget.
     """
     p = game.p
+    if budget < least_budget("mc", k, p):
+        raise ValueError("budget must be at least 2")
     if budget >= (1 << p):
         return _exact_fallback(game, k)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
@@ -235,6 +209,8 @@ def approx_permutation(game: SurvivalGame, k: int, budget: int, seed: int):
     time.
     """
     p = game.p
+    if budget < least_budget("permutation", k, p):
+        raise ValueError("budget must be at least 2")
     if budget >= (1 << p):
         return _exact_fallback(game, k)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 211)))
@@ -349,10 +325,10 @@ def approx_regression(game: SurvivalGame, k: int, budget: int, seed: int):
     estimates per timepoint. A budget below full enumeration must be at least
     2*(k+1); at full enumeration the decomposition is exact.
     """
+    if budget < least_budget("regression", k, game.p):
+        raise ValueError("regression needs budget >= 2*(order+1)")
     if budget >= (1 << game.p):
         return _exact_fallback(game, k)
-    if budget < 2 * (k + 1):
-        raise ValueError("regression needs budget >= 2*(order+1)")
     return _regression_fit(game, k, budget, seed)
 
 

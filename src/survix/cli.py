@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .approximators import estimators
+from .approximators import estimators, least_budget
 from .core import (
     InteractionExplanation,
     PredictionTarget,
@@ -139,7 +139,7 @@ def _build_parser():
                            help="run the decomposition-theory check suites")
     p_val.add_argument("--only", type=str, default="",
                        help=f"comma-separated subset of {sorted(SUITES)}")
-    p_val.add_argument("--tol", type=float, default=0.0,
+    p_val.add_argument("--tol", type=float, default=None,
                        help="override the time-dependence classification tolerance")
 
     p_ben = sub.add_parser("benchmark", parents=[common],
@@ -216,14 +216,11 @@ def _validate_options(sub: str, opt: dict) -> None:
     if sub == "explain":
         if opt["model_file"] is not None and opt["data"] is None:
             bad("--model-file requires --data")
-        if opt["model_file"] is None:
-            p = build_scenario(opt["scenario"]).p
-            if not 1 <= opt["order"] <= p:
-                bad(f"--order must lie in 1..{p}")
+        if opt["model_file"] is None and (problem := _explain_problem(
+                opt, build_scenario(opt["scenario"]).p)):
+            bad(problem)
         if opt["timepoints"] < 1:
             bad("--timepoints must be >= 1")
-        if opt["method"] != "exact" and opt["budget"] < 2:
-            bad("--budget must be >= 2")
     if sub == "benchmark":
         if opt["reps"] < 1:
             bad("--reps must be >= 1")
@@ -239,12 +236,24 @@ def _validate_options(sub: str, opt: dict) -> None:
             bad("--budgets must be comma-separated integers")
         if max(budgets) > (1 << opt["p"]):
             bad("budget exceeds full enumeration for this p")
-        if min(budgets) < min(2 * (opt["order"] + 1), 1 << opt["p"]):
+        if min(budgets) < max(least_budget(m, opt["order"], opt["p"]) for m in estimators()):
             bad("regression needs budget >= 2*(order+1)")
     if sub == "validate":
+        if opt["tol"] is not None and opt["tol"] < 0:
+            bad("--tol must be >= 0")
         unknown = [n for n in _suites(opt["only"]) if n not in SUITES]
         if unknown:
             bad(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
+
+
+def _explain_problem(opt: dict, p: int):
+    """explain's error over p features, if its order or budget has one."""
+    least = least_budget(opt["method"], opt["order"], p)
+    if not 1 <= opt["order"] <= p:
+        return f"--order must lie in 1..{p}"
+    if opt["method"] != "exact" and opt["budget"] < least:
+        return f"--budget must be >= {least} for {opt['method']} at order {opt['order']}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +318,9 @@ def cmd_explain(cfg: RunConfig) -> int:
         data, _ = simulate_dataset(opt["scenario"], n=opt["n"],
                                    seed=opt["seed"], rho=opt["rho"],
                                    t_max=opt["t_max"])
-    if not 1 <= opt["order"] <= data.p:  # a model file's p, known only now
-        print(f"survix explain: error: --order must lie in 1..{data.p}", file=sys.stderr)
+    problem = _explain_problem(opt, data.p)  # a model file's p, known only now
+    if problem:
+        print(f"survix explain: error: {problem}", file=sys.stderr)
         return USAGE_ERROR
     x = _resolve_instance(opt["instance"], data, data.p)
 
@@ -352,12 +362,9 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     opt = cfg.options
-    kwargs = {}
-    only = _suites(opt["only"]) or None
-    if opt["tol"]:
-        # the tolerance knob only applies to the classification suites
-        only = only or ["thm1", "thm2"]
-        kwargs["tol"] = opt["tol"]
+    kwargs = {} if opt["tol"] is None else {"tol": opt["tol"]}
+    # the tolerance knob only applies to the classification suites
+    only = _suites(opt["only"]) or (["thm1", "thm2"] if kwargs else None)
     results = run_suites(only, seed=opt["seed"], **kwargs)
     rows = []
     for check in results:

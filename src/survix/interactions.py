@@ -15,12 +15,13 @@ target coalition, over all N. The w columns are the engine's nodes (see
 ``games``): r for a callable with an r-row time basis, such as a ground-truth
 log-hazard, else T. The curves are mapped to the grid once per block.
 
-The redistribution of Moebius coefficients and the estimators' aggregation
-of sampled indices each cache a plan per (p, k), targets in canonical order:
-each target's supersets and weights, picked from its complement by
-``_picks``, the one subset picker (the estimators' plan picks each target's
-submasks with it). A weight depends only on (|S|, |R|, k). Explanations
-decode their target masks through a read-only map cached per (p, k) too.
+One read-only plan per (p, k), ``_plan``, built on first use, indexes the
+targets (the coalitions of size 1..k, canonical order): their feature
+indices, their submasks and signs for the estimators' derivatives, and their
+supersets of size <= k and Bernoulli weights for ``aggregate_ksii``. The
+exact path's redistribution takes its targets from it and caches their 2^p
+supersets apart. Both pick subsets with ``_picks``, the one subset picker.
+A weight depends only on (|S|, |R|, k).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -113,29 +114,53 @@ def _picks(pools: np.ndarray, p: int, extras: np.ndarray) -> np.ndarray:
     return members @ picks.T
 
 
+class _Plan(NamedTuple):
+    """What every path indexes by the targets of order k over p features."""
+
+    targets: np.ndarray  # target masks in canonical order
+    sorter: np.ndarray  # argsort of targets, to look a mask up
+    sizes: np.ndarray  # each target's size
+    keys: MappingProxyType  # each target mask's feature indices
+    first: np.ndarray  # each target's offset into flat
+    flat: np.ndarray  # each target's submasks, descending, one after another
+    signs: tuple  # per size s = 1..k, the (2^s,) signs of a derivative's terms
+    rows: np.ndarray  # target by target, its supersets' rows, ascending masks
+    coeffs: np.ndarray  # their non-zero Bernoulli weights B_{r-s}
+    starts: np.ndarray  # where each target's run starts in rows
+
+
 @lru_cache(maxsize=16)
-def _aggregation_plan(p: int, k: int):
-    """Row of each coalition of size 1..k (canonical order), then, target by
-    target in row order, the rows of its supersets of size <= k in ascending
-    mask order with their non-zero Bernoulli weights B_{r-s}, flat, and
-    where each target's run starts."""
+def _plan(p: int, k: int) -> _Plan:
+    """Per size, ``_picks`` lists the targets' submasks in the descending
+    order a derivative adds them, and their supersets of size <= k with
+    non-zero weight, ascending. A submask's sign is the parity of what it
+    leaves out, the same at a column for every target of a size."""
+    targets = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
+    sizes = np.bitwise_count(targets).astype(np.int64)
+    sorter = np.argsort(targets)
     bern = np.array([float(b) for b in _bernoulli_fractions(k)])
-    masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
-    sizes = np.bitwise_count(masks)
     full = (1 << p) - 1
-    supers, coeffs = [], []
+    flat, signs, supers, coeffs = [], [], [], []
     for s in range(1, k + 1):
+        of_size = targets[sizes == s]
+        subs = np.arange(1 << s, dtype=np.int64)[::-1]
+        flat.append(_picks(of_size, p, subs).ravel())
+        signs.append(np.where((s - np.bitwise_count(subs)) % 2, -1.0, 1.0))
         extras = np.sort(np.fromiter(coalition_iter(p - s, k - s), dtype=np.int64))
         weights = bern[np.bitwise_count(extras)]
         keep = weights != 0.0
-        targets = masks[sizes == s]
-        supers.append(targets[:, None] + _picks(targets ^ full, p, extras[keep]))
+        supers.append(of_size[:, None] + _picks(of_size ^ full, p, extras[keep]))
         coeffs.append(np.broadcast_to(weights[keep], supers[-1].shape))
     lengths = np.array([c.shape[1] for c in coeffs])[sizes - 1]
-    sorter = np.argsort(masks)
-    rows = sorter[np.searchsorted(masks, np.concatenate(supers, axis=None), sorter=sorter)]
-    return ({S: i for i, S in enumerate(masks.tolist())}, rows,
-            np.concatenate(coeffs, axis=None), np.cumsum(lengths) - lengths)
+    rows = sorter[np.searchsorted(targets, np.concatenate(supers, axis=None), sorter=sorter)]
+    plan = _Plan(targets, sorter, sizes,
+                 MappingProxyType({S: indices_from_mask(S) for S in targets.tolist()}),
+                 np.cumsum(1 << sizes) - (1 << sizes), np.concatenate(flat), tuple(signs),
+                 rows, np.concatenate(coeffs, axis=None), np.cumsum(lengths) - lengths)
+    for a in (*plan, *plan.signs):  # shared by every caller through the cache
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
 
 
 def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.ndarray]:
@@ -147,19 +172,23 @@ def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.n
     Bernoulli recurrence makes all higher-order mass cancel exactly at
     k = p, recovering the Moebius transform.
     """
-    if any(mask_size(S) > k for S in sii):
-        raise ValueError("input contains orders above k")
-    row, rows, coeffs, starts = _aggregation_plan(p, k)
-    at = [row[S] for S in sii]
+    plan = _plan(p, k)
+    n = plan.targets.size
+    masks = np.fromiter(sii, dtype=np.int64, count=len(sii))
+    at = plan.sorter[np.searchsorted(plan.targets, masks, sorter=plan.sorter) % n]
+    bad = masks[plan.targets[at] != masks].tolist()
+    if bad:
+        raise ValueError("input contains orders above k" if mask_size(bad[0]) > k else
+                         f"mask {bad[0]} is no coalition of size 1..{k} over {p} features")
     values = np.asarray(list(sii.values()), dtype=float)
-    stacked = np.zeros((len(row),) + values.shape[1:])
-    given = np.zeros(len(row), dtype=bool)
+    stacked = np.zeros((n,) + values.shape[1:])
+    given = np.zeros(n, dtype=bool)
     stacked[at], given[at] = values, True
-    if not np.logical_and.reduceat(given[rows], starts)[at].all():
+    if not np.logical_and.reduceat(given[plan.rows], plan.starts)[at].all():
         raise ValueError("missing interaction order in input")
     # weights along the leading axis, whatever the shape of a curve
-    summed = np.add.reduceat((stacked[rows].T * coeffs).T, starts)
-    return {S: summed[i] for S, i in zip(sii, at)}
+    summed = np.add.reduceat((stacked[plan.rows].T * plan.coeffs).T, plan.starts)
+    return dict(zip(sii, summed[at]))
 
 
 def _moebius_redistribution(s: int, r: int, k: int) -> float:
@@ -183,28 +212,20 @@ def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray],
     weights) for every target coalition S of size 1..k, in canonical order:
     the weights of the Moebius coefficients each target receives. Targets of
     one size share their weights."""
-    masks = np.fromiter(coalition_iter(p, k), dtype=np.int64)[1:]  # no empty set
-    sizes = np.bitwise_count(masks)
+    plan = _plan(p, k)
     full = (1 << p) - 1
     out = []
     for s in range(1, k + 1):
         extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
         weights = np.array([_moebius_redistribution(s, r, k)
                             for r in range(s, p + 1)])[np.bitwise_count(extras)]
-        targets = masks[sizes == s]
+        targets = plan.targets[plan.sizes == s]
         supers = targets[:, None] + _picks(targets ^ full, p, extras[weights != 0.0])
         coeffs = weights[weights != 0.0]
         for a in (supers, coeffs):  # shared by every caller through the cache
             a.flags.writeable = False
         out += zip(targets.tolist(), supers, itertools.repeat(coeffs))
     return tuple(out)
-
-
-@lru_cache(maxsize=16)
-def _target_keys(p: int, k: int):
-    """Read-only map of each target coalition of size 1..k to its feature
-    indices, in the canonical order of ``_ksii_block``."""
-    return MappingProxyType({S: indices_from_mask(S) for S in coalition_iter(p, k) if S})
 
 
 def _check_order(k: int, p: int) -> None:
@@ -231,8 +252,7 @@ def exact_ksii(values: np.ndarray, k: int) -> Dict[int, np.ndarray]:
     order <= k."""
     values = np.asarray(values, dtype=float)
     p = _players(values)
-    curves = _ksii_block(values[None], k)[0]
-    return {S: curves[i] for i, (S, _, _) in enumerate(_redistribution(p, k))}
+    return dict(zip(_plan(p, k).targets.tolist(), _ksii_block(values[None], k)[0]))
 
 
 @dataclass(frozen=True)
@@ -254,8 +274,6 @@ class ApproximatorConfig:
             raise ValueError(f"unknown approximation method {self.method!r}")
         if not _is_integer(self.budget):
             raise ValueError(f"budget must be an integer, got {self.budget!r}")
-        if self.budget < 2:
-            raise ValueError("budget must be at least 2")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -289,7 +307,7 @@ def explain_instances(predict, X, imputer, grid: TimeGrid, order: int,
         raise ValueError("method must be 'exact' or an ApproximatorConfig")
     _check_order(order, p)
     baseline = reference_mean(predict, imputer, grid)
-    keys = _target_keys(p, order)
+    keys = _plan(p, order).keys
 
     def explanation(ksii, info):
         values = {keys[S]: curve for S, curve in ksii.items()}

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .approximators import estimate, estimators
+from .approximators import estimate, estimators, least_budget
 from .core import PredictionTarget, build_time_grid
 from .games import (
     ConditionalGaussianImputer,
@@ -360,7 +360,7 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
         raise ValueError("the exact oracle is restricted to p <= 16")
     if max(budgets) > (1 << p):
         raise ValueError("budget exceeds full enumeration")
-    if min(budgets) < min(2 * (order + 1), 1 << p):  # below regression's floor
+    if min(budgets) < max(least_budget(m, order, p) for m in estimators()):
         raise ValueError("regression needs budget >= 2*(order+1)")
     game, _ = benchmark_game(seed=seed, p=p, n_timepoints=n_timepoints)
     exact = exact_ksii(evaluate_all_coalitions(game), order)

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from oracles import exact_sii
 from survix import approximators
-from survix.core import coalition_iter, mask_size
+from survix.core import coalition_iter, indices_from_mask, mask_size
 from survix.interactions import (
-    _aggregation_plan,
     _bernoulli_fractions,
+    _plan,
     _redistribution,
     aggregate_ksii,
     exact_ksii,
@@ -148,6 +148,12 @@ def test_errors_keep_their_messages():
     assert all(np.array_equal(got[S], v) for S, v in only_top.items())
 
 
+@pytest.mark.parametrize("mask", [0, 0b1000])
+def test_a_mask_outside_the_targets_is_named(mask):
+    with pytest.raises(ValueError, match=f"mask {mask} is no coalition of size 1..1"):
+        aggregate_ksii({mask: np.ones(2)}, 1, 3)
+
+
 def oracle_aggregation_plan(p, k):
     """The earlier plan builder: every candidate coalition of size 1..k is
     tested against every target, so it costs targets x candidates."""
@@ -180,12 +186,17 @@ def _runs(plan):
                          + [(30, 3), (30, 4)])
 def test_aggregation_plan_matches_the_all_pairs_build(p, k):
     # the same runs, targets in canonical order instead of ascending masks
-    got, want = _aggregation_plan(p, k), oracle_aggregation_plan(p, k)
-    assert list(got[0]) == [S for S in coalition_iter(p, k) if S]
-    assert list(got[0].values()) == list(range(len(got[0])))
+    plan, want = _plan(p, k), oracle_aggregation_plan(p, k)
+    targets = [S for S in coalition_iter(p, k) if S]
+    assert plan.targets.tolist() == targets
+    got = ({S: i for i, S in enumerate(targets)}, plan.rows, plan.coeffs, plan.starts)
     assert _runs(got) == _runs(want)
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == b.dtype and a.shape == b.shape
+        assert not a.flags.writeable
+    assert list(plan.keys.items()) == [(S, indices_from_mask(S)) for S in targets]
+    with pytest.raises(TypeError):
+        plan.keys[targets[0]] = ()
 
 
 @settings(max_examples=40)

@@ -16,7 +16,6 @@ from survix import approximators, validation
 from survix.approximators import (
     _COND_LIMIT,
     _mc_round,
-    _plan,
     _regression_fit,
     _sample_coalitions,
     _unrank,
@@ -34,7 +33,7 @@ from survix.games import (
     _width,
     evaluate_all_coalitions,
 )
-from survix.interactions import aggregate_ksii, exact_ksii
+from survix.interactions import _plan, aggregate_ksii, exact_ksii, explain
 from survix.simulate import FeatureSampler, build_scenario, sample_features
 from survix.validation import benchmark_game, run_benchmark
 
@@ -725,6 +724,12 @@ class TestEstimateChecks:
         with pytest.raises(ValueError, match="budget must be at least 2"):
             estimate(game, 2, method, 1, 0)
 
+    @pytest.mark.parametrize("method", ["mc", "permutation", "regression"])
+    def test_runners_reject_a_budget_below_their_floor(self, method):
+        game, _ = benchmark_game(seed=5, p=4, n_background=10, n_timepoints=3)
+        with pytest.raises(ValueError, match="needs budget >=|budget must be at least 2"):
+            estimators()[method](game, 1, 1, 0)
+
     def test_unknown_method_rejected(self):
         game, _ = benchmark_game(seed=5, p=4, n_background=10, n_timepoints=3)
         with pytest.raises(ValueError, match="unknown approximation method 'nope'"):
@@ -793,10 +798,24 @@ class TestPlan:
         for i, s in enumerate(sizes):
             assert plan.signs[s - 1].tolist() == [-1.0 if (s - mask_size(int(L))) % 2
                                                   else 1.0 for L in subs[i]]
+        assert list(plan.keys) == targets
         for a in [plan.targets, plan.sorter, plan.sizes, plan.first, plan.flat]:
             assert a.dtype == np.int64 and not a.flags.writeable
         for signs in plan.signs:
             assert signs.dtype == np.float64 and not signs.flags.writeable
+        with pytest.raises(TypeError):
+            plan.keys[targets[0]] = ()
+
+
+def test_one_plan_serves_every_path():
+    game, _ = benchmark_game(seed=5, p=5, n_background=10, n_timepoints=3)
+    _plan.cache_clear()
+    explain(game.predict, game.x, game.imputer, game.grid, 2, PredictionTarget.HAZARD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for method in estimators():
+            estimate(game, 2, method, 20, 0)
+    assert _plan.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

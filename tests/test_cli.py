@@ -127,6 +127,24 @@ class TestExplainCommand:
         assert code == 1
         assert "--order must lie in 1..4" in capsys.readouterr().err
 
+    def test_budget_below_the_scenarios_floor_is_usage_error(self, tmp_path, capsys):
+        # regression's floor at order 2 over the scenario's 3 features is 6
+        code = run(["explain", "--scenario", 1, "--method", "regression",
+                    "--budget", 3, "--out", tmp_path])
+        assert code == 1
+        assert "--budget must be >= 6 for regression at order 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, budget, least", [("regression", 5, 6), ("mc", 1, 2)])
+    def test_budget_below_the_model_files_floor_is_usage_error(self, tmp_path, capsys,
+                                                               method, budget, least):
+        model_to_json(benchmark_model(p=4), tmp_path / "model.json")
+        simulate_dataset(benchmark_model(p=4), n=20, seed=1)[0].to_csv(tmp_path / "data.csv")
+        code = run(["explain", "--model-file", tmp_path / "model.json",
+                    "--data", tmp_path / "data.csv", "--instance", 0,
+                    "--method", method, "--budget", budget, "--out", tmp_path])
+        assert code == 1
+        assert f"--budget must be >= {least} for {method}" in capsys.readouterr().err
+
     def test_unknown_scenario_from_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenario": 11}))
@@ -169,6 +187,15 @@ class TestValidateCommand:
         assert code == 3
         out = capsys.readouterr().out
         assert "[FAIL]" in out
+
+    def test_zero_tolerance_is_applied(self, tmp_path, capsys):
+        code = run(["validate", "--only", "thm1", "--tol", 0, "--out", tmp_path])
+        assert code == 3
+        assert "[FAIL]" in capsys.readouterr().out
+
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys):
+        assert run(["validate", "--tol", -1, "--out", tmp_path]) == 1
+        assert "--tol must be >= 0" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:
