@@ -24,9 +24,10 @@ constraints (the empty and full values) plus an orthonormal basis of their
 null space times one ``np.linalg.lstsq`` solution, the minimum-norm fit of a
 rank-deficient design; ``info["condition"]`` is that solved matrix's.
 
-An estimator sees its game's own grid. When a time basis maps values at the
-engine's nodes to the grid (see ``games``), ``estimate`` hands it the plain
-game over the nodes and maps the estimated curves to the grid once.
+An estimator sees its game's own grid. ``estimate`` hands it the plain game
+over the engine's nodes, the whole grid unless a time basis maps values at
+fewer nodes to the grid (see ``games``), and maps the estimated curves to the
+grid once.
 """
 
 from __future__ import annotations
@@ -59,21 +60,18 @@ def least_budget(method: str, k: int, p: int) -> int:
 def estimate(game: SurvivalGame, k: int, method: str, budget: int, seed: int):
     """Run the estimator named ``method``, once ``ApproximatorConfig``'s
     checks pass; returns (ksii, info), where info records the number of
-    nodes the values were taken at as ``width``. Under a time basis
-    (``_width``) the estimator runs on the plain game over the nodes and its
-    curves are mapped to the grid once."""
+    nodes the values were taken at as ``width``. The estimator runs on the
+    plain game over the nodes (``_width``: the whole grid, unless a time
+    basis declares fewer) and its curves are mapped to the grid once."""
     ApproximatorConfig(method, budget, seed)
     runner = estimators()[method]
     _check_order(k, game.p)
     nodes, basis_map = _width(game.predict, game.grid)
-    if basis_map is None:
-        ksii, info = runner(game, k, budget, seed)
-    else:
-        at_nodes = SurvivalGame(game.predict, game.x, game.imputer,
-                                TimeGrid(game.grid.points[nodes], game.grid.t_max),
-                                reference_mean=game.baseline()[nodes])
-        ksii, info = runner(at_nodes, k, budget, seed)
-        ksii = dict(zip(ksii, _to_grid(np.array(list(ksii.values())), basis_map)))
+    at_nodes = SurvivalGame(game.predict, game.x, game.imputer,
+                            TimeGrid(game.grid.points[nodes], game.grid.t_max),
+                            reference_mean=game.baseline()[nodes])
+    ksii, info = runner(at_nodes, k, budget, seed)
+    ksii = dict(zip(ksii, _to_grid(np.array(list(ksii.values())), basis_map)))
     return ksii, {**info, "width": nodes.size}
 
 

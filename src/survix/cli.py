@@ -221,6 +221,10 @@ def _validate_options(sub: str, opt: dict) -> None:
             bad(problem)
         if opt["timepoints"] < 1:
             bad("--timepoints must be >= 1")
+        if opt["background_size"] < 0:
+            bad("--background-size must be >= 0")
+        if opt["n_samples"] < 1:
+            bad("--n-samples must be >= 1")
     if sub == "benchmark":
         if opt["reps"] < 1:
             bad("--reps must be >= 1")
@@ -294,18 +298,20 @@ def _load_model(opt: dict):
     return model.prediction_function, f"scenario:{opt['scenario']}"
 
 
-def _resolve_instance(token: str, data: SurvivalDataset | None, p: int):
+def _resolve_instance(token: str, data: SurvivalDataset) -> np.ndarray:
+    """The instance ``--instance`` names: a row index into ``data``, or
+    comma-separated values of its p features."""
     if "," in token:
-        x = np.array([float(v) for v in token.split(",")])
-        if x.size != p:
-            raise ValueError(f"instance needs {p} values")
+        try:
+            x = np.array([float(v) for v in token.split(",")])
+        except ValueError:
+            x = np.empty(0)
+        if x.size != data.p or not np.isfinite(x).all():
+            raise ValueError(f"--instance needs {data.p} finite values, got {token!r}")
         return x
-    idx = int(token)
-    if data is None:
-        raise ValueError("an index instance requires a dataset")
-    if not 0 <= idx < data.n:
-        raise ValueError(f"instance index {idx} out of range 0..{data.n - 1}")
-    return data.features[idx]
+    if not token.isdigit() or int(token) >= data.n:
+        raise ValueError(f"--instance {token} is no row index 0..{data.n - 1}")
+    return data.features[int(token)]
 
 
 def cmd_explain(cfg: RunConfig) -> int:
@@ -319,10 +325,13 @@ def cmd_explain(cfg: RunConfig) -> int:
                                    seed=opt["seed"], rho=opt["rho"],
                                    t_max=opt["t_max"])
     problem = _explain_problem(opt, data.p)  # a model file's p, known only now
+    try:
+        x = _resolve_instance(opt["instance"], data)
+    except ValueError as exc:
+        problem = problem or str(exc)
     if problem:
         print(f"survix explain: error: {problem}", file=sys.stderr)
         return USAGE_ERROR
-    x = _resolve_instance(opt["instance"], data, data.p)
 
     background = data.features
     if opt["background_size"] and opt["background_size"] < background.shape[0]:
@@ -453,7 +462,6 @@ def main(argv=None) -> int:
         cfg = _resolve(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    cfg.write_manifest()
     handler = {
         "simulate": cmd_simulate,
         "explain": cmd_explain,
@@ -461,13 +469,16 @@ def main(argv=None) -> int:
         "benchmark": cmd_benchmark,
     }[cfg.subcommand]
     try:
-        return handler(cfg)
+        code = handler(cfg)
     except (ValueError, FloatingPointError, MemoryError, RuntimeError,
             OSError) as exc:
         print(f"survix {cfg.subcommand}: computation error: {exc}",
               file=sys.stderr)
-        return COMPUTATION_ERROR
+        code = COMPUTATION_ERROR
+    if code != USAGE_ERROR:  # a usage error ran nothing to replay
+        cfg.write_manifest()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

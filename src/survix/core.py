@@ -125,34 +125,14 @@ class TimeGrid:
         return self.points.size
 
 
-def build_time_grid(t_max: float, n_points: int, mode: str = "even",
-                    times: np.ndarray | None = None) -> TimeGrid:
-    """Build an evaluation grid.
-
-    mode="even" places points at ``i * t_max / n_points`` for i = 1..n_points.
-    mode="quantile" uses empirical quantiles of the positive entries of
-    ``times`` at the same fractions.
-    """
+def build_time_grid(t_max: float, n_points: int) -> TimeGrid:
+    """Build an evaluation grid of ``n_points`` evenly spaced points
+    ``i * t_max / n_points`` for i = 1..n_points."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    fractions = np.arange(1, n_points + 1) / n_points
-    if mode == "even":
-        pts = fractions * t_max
-    elif mode == "quantile":
-        if times is None or np.asarray(times).size == 0:
-            raise ValueError("quantile mode requires a non-empty time sample")
-        sample = np.asarray(times, dtype=float)
-        sample = sample[sample > 0]
-        if sample.size == 0:
-            raise ValueError("quantile mode requires positive time values")
-        pts = np.quantile(sample, fractions)
-        pts = np.minimum(pts, t_max)
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("quantile grid has duplicate points; reduce n_points")
-    else:
-        raise ValueError(f"unknown grid mode {mode!r}")
+    pts = np.arange(1, n_points + 1) / n_points * t_max
     return TimeGrid(points=pts, t_max=float(t_max))
 
 
@@ -276,19 +256,12 @@ class InteractionExplanation:
                            if keys else np.empty((0, T)))
         self.values = dict(zip(keys, curves))
 
-    @property
-    def p(self) -> int:
-        return 1 + max(i for key in self.values for i in key) if self.values else 0
-
     def attribution_sum(self) -> np.ndarray:
         """Baseline plus all attribution curves (the reconstruction of F)."""
         out = self.baseline.copy()
         for curve in self.values.values():
             out += curve
         return out
-
-    def coalitions(self) -> Tuple[Indices, ...]:
-        return tuple(self.values)
 
     # -- serialization ------------------------------------------------------
 

@@ -174,7 +174,10 @@ def aggregate_ksii(sii: Dict[int, np.ndarray], k: int, p: int) -> Dict[int, np.n
     """
     plan = _plan(p, k)
     n = plan.targets.size
-    masks = np.fromiter(sii, dtype=np.int64, count=len(sii))
+    try:
+        masks = np.fromiter(sii, dtype=np.int64, count=len(sii))
+    except OverflowError:  # a mask beyond int64, which Python ints compare exactly
+        masks = np.fromiter(sii, dtype=object, count=len(sii))
     at = plan.sorter[np.searchsorted(plan.targets, masks, sorter=plan.sorter) % n]
     bad = masks[plan.targets[at] != masks].tolist()
     if bad:

@@ -224,8 +224,8 @@ def integrated_brier(surv: np.ndarray, data: SurvivalDataset,
     return float(np.trapezoid(bs, grid.points) / span)
 
 
-def savgol_smooth(series: np.ndarray, window: int = 11,
-                  poly_order: int = 3) -> np.ndarray:
+def savgol_smooth(series: np.ndarray, window: int,
+                  poly_order: int) -> np.ndarray:
     """Savitzky-Golay smoothing with polynomial boundary handling."""
     # imported here: scipy.signal alone costs more than the rest of survix
     from scipy.signal import savgol_filter
@@ -241,10 +241,12 @@ def savgol_smooth(series: np.ndarray, window: int = 11,
                          mode="interp")
 
 
-def smooth_explanation(expl: InteractionExplanation, window: int = 11,
-                       poly_order: int = 3) -> InteractionExplanation:
-    """Explanation with every attribution curve (and baseline) smoothed."""
-    window = min(window, len(expl.grid) if len(expl.grid) % 2 else len(expl.grid) - 1)
+def smooth_explanation(expl: InteractionExplanation) -> InteractionExplanation:
+    """Explanation with every attribution curve (and baseline) smoothed by a
+    cubic Savitzky-Golay filter over 11 points, or over the longest odd
+    window a shorter grid holds; one of fewer than 4 points is returned as is."""
+    T = len(expl.grid)
+    window, poly_order = min(11, T if T % 2 else T - 1), 3
     if window < poly_order + 1:
         return expl
     return InteractionExplanation(

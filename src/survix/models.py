@@ -184,13 +184,6 @@ class GroundTruthModel:
     # -- batch evaluation ---------------------------------------------------
 
     @_quiet_overflow
-    def log_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return self._risk_matrix(X, times, hazard=False)
-
-    @_quiet_overflow
-    def hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return self._risk_matrix(X, times, hazard=True)
-
     def _risk_matrix(self, X, times, hazard: bool) -> np.ndarray:
         """log lam + c0 + c1 * log1p(t), or lam * e^(c0 + c1 * log1p(t)) if
         ``hazard``, element-wise in one (T, m) buffer (c1 = 0 adds 0)."""
@@ -245,9 +238,9 @@ class GroundTruthModel:
                 target: PredictionTarget) -> np.ndarray:
         """(m, T) prediction matrix on the requested scale."""
         if target is PredictionTarget.LOG_HAZARD:
-            return self.log_hazard_matrix(X, times)
+            return self._risk_matrix(X, times, hazard=False)
         if target is PredictionTarget.HAZARD:
-            return self.hazard_matrix(X, times)
+            return self._risk_matrix(X, times, hazard=True)
         if target is PredictionTarget.SURVIVAL:
             return self.survival_matrix(X, times)
         raise ValueError(f"unknown target {target!r}")
@@ -263,10 +256,18 @@ class GroundTruthModel:
             return self.predict(X, times, target)
         if target is PredictionTarget.LOG_HAZARD or (
                 self.time_independent and target is PredictionTarget.HAZARD):
-            rank = 1 if self.time_independent else 2
-            predict.time_basis = lambda times: np.vstack(
-                [np.ones(np.size(times)), np.log1p(times)][:rank])
+            # one function per basis, so that games' cache of the basis map
+            # on a grid serves every callable that declares it
+            predict.time_basis = _constant_basis if self.time_independent else _log1p_basis
         return predict
+
+
+def _constant_basis(times) -> np.ndarray:
+    return np.ones((1, np.size(times)))
+
+
+def _log1p_basis(times) -> np.ndarray:
+    return np.vstack([np.ones(np.size(times)), np.log1p(times)])
 
 
 def _checked_times(times) -> np.ndarray:

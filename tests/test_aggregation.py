@@ -148,7 +148,7 @@ def test_errors_keep_their_messages():
     assert all(np.array_equal(got[S], v) for S, v in only_top.items())
 
 
-@pytest.mark.parametrize("mask", [0, 0b1000])
+@pytest.mark.parametrize("mask", [0, 0b1000, 1 << 63, 1 << 70])
 def test_a_mask_outside_the_targets_is_named(mask):
     with pytest.raises(ValueError, match=f"mask {mask} is no coalition of size 1..1"):
         aggregate_ksii({mask: np.ones(2)}, 1, 3)

@@ -126,6 +126,7 @@ class TestExplainCommand:
                     "--order", order, "--out", tmp_path])
         assert code == 1
         assert "--order must lie in 1..4" in capsys.readouterr().err
+        assert not (tmp_path / "explain_manifest.json").exists()
 
     def test_budget_below_the_scenarios_floor_is_usage_error(self, tmp_path, capsys):
         # regression's floor at order 2 over the scenario's 3 features is 6
@@ -144,6 +145,25 @@ class TestExplainCommand:
                     "--method", method, "--budget", budget, "--out", tmp_path])
         assert code == 1
         assert f"--budget must be >= {least} for {method}" in capsys.readouterr().err
+        assert not (tmp_path / "explain_manifest.json").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--instance", "1,2"], "--instance needs 3 finite values, got '1,2'"),
+        (["--instance", "a,b,c"], "--instance needs 3 finite values, got 'a,b,c'"),
+        (["--instance", 5000], "--instance 5000 is no row index 0..99"),
+        (["--background-size", -3], "--background-size must be >= 0"),
+        (["--imputation", "conditional", "--n-samples", 0], "--n-samples must be >= 1"),
+    ], ids=["instance-count", "instance-values", "instance-index", "background-size",
+            "n-samples"])
+    def test_an_invalid_option_is_a_usage_error_that_writes_no_manifest(
+            self, tmp_path, capsys, args, message):
+        model_to_json(benchmark_model(p=3), tmp_path / "model.json")
+        simulate_dataset(benchmark_model(p=3), n=100, seed=1)[0].to_csv(tmp_path / "data.csv")
+        code = run(["explain", "--model-file", tmp_path / "model.json",
+                    "--data", tmp_path / "data.csv", *args, "--out", tmp_path])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "explain_manifest.json").exists()
 
     def test_unknown_scenario_from_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

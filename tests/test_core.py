@@ -33,19 +33,11 @@ class TestTimeGrid:
         assert grid.points[-1] == 70.0
         assert np.allclose(np.diff(grid.points), 70 / 41)
 
-    def test_quantile_mode(self):
-        times = np.arange(1, 101, dtype=float)
-        grid = build_time_grid(100, 4, mode="quantile", times=times)
-        assert len(grid) == 4
-        assert np.all(np.diff(grid.points) > 0)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             build_time_grid(0, 5)
         with pytest.raises(ValueError):
             build_time_grid(70, 0)
-        with pytest.raises(ValueError):
-            build_time_grid(70, 5, mode="quantile", times=np.array([]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 1.0]), 2.0)  # t=0 excluded
         with pytest.raises(ValueError):

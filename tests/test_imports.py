@@ -1,7 +1,8 @@
 """Every module-level import of a survix module, and of the test oracles, is
 used in that module; every defaulted parameter of a survix function is set
-by some call; every private helper of survix is referenced by the package;
-and importing the package loads no heavy scipy submodule."""
+by some producer, a call in src/ or bench/ outside a test file; every
+private helper of survix is referenced by the package; and importing the
+package loads no heavy scipy submodule."""
 
 import ast
 import os
@@ -36,7 +37,7 @@ def test_no_unused_module_level_import(path):
 
 PACKAGE = Path(survix.__file__).parent
 ROOT = PACKAGE.parent.parent
-CALLER_DIRS = ("src", "demos", "bench", "tests")
+CALLER_DIRS = ("src", "bench")
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +162,10 @@ def _mapping_keys(fn, name):
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    # A defaulted parameter that no call in src/, demos/, bench/ or tests/
-    # sets is an option that does nothing: make it a constant instead.
+    # A defaulted parameter that no producer sets, no call in src/ or bench/
+    # outside a test file, is an option that does nothing: make it a constant
+    # instead. Tests and demos do not count, as they call an option only to
+    # exercise it.
     # Module-level functions and classes resolve through imports, and a
     # method called on an instance by its attribute name. A call through a
     # module-level dict of functions (SUITES[name](...)) calls each of them,
@@ -178,6 +181,8 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     calls = []  # (enclosing function, call, qualified names it may call)
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
             names = _bindings(path)
             for fn, call in _Calls(_tree(path)).calls:
                 func = call.func

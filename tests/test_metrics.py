@@ -385,7 +385,7 @@ class TestSavgol:
         rng = np.random.default_rng(8)
         expl = _expl({(0,): rng.standard_normal(15), (1,): np.ones(15)},
                      baseline=np.ones(15), n_points=15)
-        sm = smooth_explanation(expl, window=7, poly_order=2)
+        sm = smooth_explanation(expl)
         assert set(sm.values) == set(expl.values)
         assert np.allclose(sm.values[(1,)], 1.0, atol=1e-12)
         assert sm.info.get("smoothed") is True

@@ -99,6 +99,24 @@ def test_cox_callable_is_unmarked():
     assert not hasattr(cox.prediction_function(), "time_basis")
 
 
+@pytest.mark.parametrize("a, b, target", [
+    ("scenario1", "scenario3", PredictionTarget.HAZARD),
+    ("scenario1", "benchmark_model10", PredictionTarget.LOG_HAZARD),
+    ("scenario2", "scenario10", PredictionTarget.LOG_HAZARD),
+])
+def test_fresh_callables_share_their_basis_and_its_map(a, b, target):
+    # the engine caches a basis's map per grid, so a callable made for one
+    # explanation finds the map that an earlier one built
+    first, second = (CATALOG[name].prediction_function(target) for name in (a, b))
+    assert first is not second and first.time_basis is second.time_basis
+    grid = build_time_grid(T_MAX, 41)
+    games._width(first, grid)
+    before = games._nodes.cache_info()
+    games._width(second, grid)
+    after = games._nodes.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def _cumulative_hazard(model):
     """lam e^c0 t, the cumulative hazard of a time-independent model, with the
     one-row basis [t / T_MAX], which is not constant over time."""
