@@ -103,6 +103,7 @@ def test_cox_callable_is_unmarked():
     ("scenario1", "scenario3", PredictionTarget.HAZARD),
     ("scenario1", "benchmark_model10", PredictionTarget.LOG_HAZARD),
     ("scenario2", "scenario10", PredictionTarget.LOG_HAZARD),
+    ("scenario10", "scenario10", PredictionTarget.LOG_HAZARD),
 ])
 def test_fresh_callables_share_their_basis_and_its_map(a, b, target):
     # the engine caches a basis's map per grid, so a callable made for one
