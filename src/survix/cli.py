@@ -63,6 +63,12 @@ class RunConfig:
     options: dict
     out_dir: Path
 
+    def path(self, name: str) -> Path:
+        """``name`` in the output directory, which the first write creates:
+        a run that ends in a usage error leaves no directory behind."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
     def write_manifest(self) -> Path:
         payload = {
             "subcommand": self.subcommand,
@@ -73,7 +79,7 @@ class RunConfig:
                 "scipy": scipy.__version__,
             },
         }
-        path = self.out_dir / f"{self.subcommand}_manifest.json"
+        path = self.path(f"{self.subcommand}_manifest.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, default=str)
         return path
@@ -186,7 +192,9 @@ def _resolve(argv: list) -> RunConfig:
                if key not in ("subcommand", "config", "out")}
     _validate_options(args.subcommand, options)
     out_dir = Path(args.out or os.environ.get(ENV_OUT, "survix_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # created on first write, so a path that cannot become one is caught now
+    if not next(d for d in (out_dir, *out_dir.parents) if d.exists()).is_dir():
+        commands[args.subcommand].error(f"--out {out_dir} is no directory")
     return RunConfig(subcommand=args.subcommand, options=options, out_dir=out_dir)
 
 
@@ -268,8 +276,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     opt = cfg.options
     data, meta = simulate_dataset(opt["scenario"], n=opt["n"], seed=opt["seed"],
                                   rho=opt["rho"], t_max=opt["t_max"])
-    data.to_csv(cfg.out_dir / "dataset.csv")
-    with open(cfg.out_dir / "metadata.json", "w") as fh:
+    data.to_csv(cfg.path("dataset.csv"))
+    with open(cfg.path("metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
     if opt["split"]:
         n_train = int(round(0.8 * data.n))
@@ -277,7 +285,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         for name, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):
             subset = SurvivalDataset(data.features[idx], data.times[idx],
                                      data.events[idx])
-            subset.to_csv(cfg.out_dir / f"{name}.csv")
+            subset.to_csv(cfg.path(f"{name}.csv"))
     print(f"wrote {data.n} rows to {cfg.out_dir / 'dataset.csv'} "
           f"(censoring rate {meta['censoring_rate']:.3f})")
     return 0
@@ -353,12 +361,12 @@ def cmd_explain(cfg: RunConfig) -> int:
         opt["method"], budget=opt["budget"], seed=opt["seed"])
     expl = explain(predict_builder(target), x, imputer, grid, opt["order"],
                    target, method=method)
-    expl.to_csv(cfg.out_dir / "explanation.csv")
-    expl.to_json(cfg.out_dir / "explanation.json")
+    expl.to_csv(cfg.path("explanation.csv"))
+    expl.to_json(cfg.path("explanation.json"))
     if opt["smooth"]:
-        smooth_explanation(expl).to_csv(cfg.out_dir / "explanation_smoothed.csv")
+        smooth_explanation(expl).to_csv(cfg.path("explanation_smoothed.csv"))
     if opt["svg"]:
-        _write_svg(expl, cfg.out_dir / "explanation.svg")
+        _write_svg(expl, cfg.path("explanation.svg"))
     print(f"explained {model_tag} target={target.value} order={opt['order']} "
           f"method={expl.info.get('method')}")
     if "design_rank" in expl.info:
@@ -380,7 +388,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         print(check.line())
         rows.append([check.suite, check.name, int(check.passed),
                      repr(check.value), repr(check.threshold)])
-    with open(cfg.out_dir / "validate_report.csv", "w", newline="") as fh:
+    with open(cfg.path("validate_report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["suite", "check", "passed", "value", "threshold"])
         writer.writerows(rows)
@@ -394,7 +402,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     rows = run_benchmark(seed=opt["seed"], budgets=_budgets(opt["budgets"]),
                          repetitions=opt["reps"], order=opt["order"],
                          p=opt["p"], n_timepoints=opt["timepoints"])
-    path = cfg.out_dir / "benchmark.csv"
+    path = cfg.path("benchmark.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "budget", "run", "mse"])

@@ -20,8 +20,14 @@ trim and refault the heap. The log-hazard and hazard are element-wise in
 the time basis [1] of those two scales for a time-independent model (c1 = 0)
 and [1, log1p(t)] of a time-dependent log-hazard.
 Every scale checks that the times are finite and >= 0, and a row that
-overflows raises FloatingPointError without numpy warnings. There is one
-implementation of each scale, the batch one, also for a single row or time.
+overflows raises FloatingPointError without numpy warnings. Finiteness is
+checked on the buffer rows of the earliest and the latest time only, which
+is exact: along each prediction row every scale is monotone in t or
+log1p(t) (rounding, exp and expm1 keep the order and overflow at a fixed
+threshold), so an infinity reaches the latest time; a NaN comes from a
+non-finite load, which spoils the whole prediction row, or from 0 * inf at
+the earliest time. There is one implementation of each scale, the batch
+one, also for a single row or time.
 The Cox information takes risk-set row weights; eta sums columns in order.
 """
 
@@ -141,8 +147,10 @@ class RiskScoreSpec:
 # Decorates each scale method: an overflowing row ends in _check_finite's
 # FloatingPointError, so numpy's overflow and invalid-value warnings from the
 # loads and the scale's own ufuncs are silenced, and the error is the only
-# signal. No decorated method calls another: before numpy 2, one errstate
-# instance entered twice at once restores the wrong state.
+# signal. _check_finite reads the earliest and the latest time, which hold a
+# non-finite value whenever the buffer does. No decorated method calls
+# another: before numpy 2, one errstate instance entered twice at once
+# restores the wrong state.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -196,7 +204,7 @@ class GroundTruthModel:
         if hazard:
             np.exp(out, out=out)
             out *= self.lam
-        _check_finite(out)
+        _check_finite(out, times)
         return out.T
 
     def cumulative_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -231,7 +239,7 @@ class GroundTruthModel:
             np.expm1(out, out=out)
             out[:, flat] = v[:, None]
             out *= scale / a
-        _check_finite(out)
+        _check_finite(out, times)
         return out.T
 
     def predict(self, X: np.ndarray, times: np.ndarray,
@@ -277,8 +285,12 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _check_finite(out: np.ndarray, times: np.ndarray) -> None:
+    """Raise if the time-major (T, m) buffer ``out`` holds a non-finite
+    value, read from its rows at the earliest and the latest of ``times``
+    (see the module docstring); the rows are views, not copies."""
+    lo, hi = times.argmin(), times.argmax()
+    if not (np.isfinite(out[lo]).all() and (lo == hi or np.isfinite(out[hi]).all())):
         raise FloatingPointError(
             "non-finite model prediction (overflow in exp); "
             "check coefficients and feature ranges"

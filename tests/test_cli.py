@@ -159,11 +159,33 @@ class TestExplainCommand:
             self, tmp_path, capsys, args, message):
         model_to_json(benchmark_model(p=3), tmp_path / "model.json")
         simulate_dataset(benchmark_model(p=3), n=100, seed=1)[0].to_csv(tmp_path / "data.csv")
+        # neither the output directory nor its missing parent is created
         code = run(["explain", "--model-file", tmp_path / "model.json",
-                    "--data", tmp_path / "data.csv", *args, "--out", tmp_path])
+                    "--data", tmp_path / "data.csv", *args,
+                    "--out", tmp_path / "new" / "out"])
         assert code == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "explain_manifest.json").exists()
+        assert not (tmp_path / "new").exists()
+
+    def test_a_late_usage_error_leaves_no_new_directory_and_an_old_one_untouched(
+            self, tmp_path, capsys):
+        args = ["explain", "--scenario", 1, "--instance", "1,2", "--out"]
+        assert run([*args, tmp_path / "new"]) == 1
+        assert "--instance needs 3 finite values, got '1,2'" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "kept.txt").write_text("kept")
+        assert run([*args, tmp_path / "old"]) == 1
+        assert [f.name for f in (tmp_path / "old").iterdir()] == ["kept.txt"]
+        assert (tmp_path / "old" / "kept.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_an_out_path_at_or_under_a_file_is_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("kept")
+        assert run(["explain", "--scenario", 1, "--instance", 0,
+                    "--out", tmp_path / out]) == 1
+        assert f"--out {tmp_path / out} is no directory" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_unknown_scenario_from_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -9,20 +9,24 @@ takes a term-matrix product, so they are held to the forward-error bound of
 summing the terms' contributions in another order. Every scale's rows, and a
 Cox model's linear predictor and survival rows, do not depend on their
 batch, nor on whether X is row- or column-major, as the marginal imputer's
-rows are. Models with eight or more terms of one kind sum their loads in
-term order; the oracle's numpy row sum does too on two or more rows, but
-pairs the terms differently on one row, so those models are held to the
-forward-error bound of summation instead.
+rows are, and a permutation of the times permutes the columns. A scale
+checks finiteness at the earliest and the latest time only, and raises
+exactly when a check of its whole buffer would. Models with eight or more
+terms of one kind sum their loads in term order; the oracle's numpy row sum
+does too on two or more rows, but pairs the terms differently on one row,
+so those models are held to the forward-error bound of summation instead.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from survix import models
 from survix.core import PredictionTarget, build_time_grid
 from survix.models import CoxModel, GroundTruthModel, RiskScoreSpec, RiskTerm
 from survix.simulate import T_MAX, build_scenario
@@ -226,6 +230,85 @@ def test_overflowing_row_raises_on_the_per_row_path():
         for target in PredictionTarget:
             with pytest.raises(FloatingPointError):
                 huge.predict(X, TIMES, target)
+
+
+# coefficients and features whose products and sums overflow, and times
+# whose log1p spans 0, subnormal, ordinary and huge
+COEFFICIENTS = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, 1.0, -1.0, 700.0, -750.0, 1e308, -1e308]))
+FEATURE_VALUES = st.one_of(st.floats(-10.0, 10.0),
+                           st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e5]))
+EXTREME_TIMES = (0.0, 1e-300, 0.5, 70.0, 1e5, 1e300)
+
+
+def _load_pair_model(betas, lam, time_dependent):
+    """Terms b_j x_j, of which b1 x1 and b3 x3 make c1 if ``time_dependent``
+    (else c0 sums all four): b1 = 1 with x1 = -1 and x3 = 0 makes a flat row
+    (c1 = -1)."""
+    kinds = ("constant", "log1p") if time_dependent else ("constant", "constant")
+    terms = tuple(RiskTerm((j,), b, time=kinds[j % 2]) for j, b in enumerate(betas))
+    return GroundTruthModel(lam, RiskScoreSpec(4, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(betas=st.lists(COEFFICIENTS, min_size=4, max_size=4),
+       lam=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       time_dependent=st.booleans(),
+       X=st.lists(st.lists(FEATURE_VALUES, min_size=4, max_size=4), min_size=1, max_size=4),
+       times=st.lists(st.sampled_from(EXTREME_TIMES), min_size=1, max_size=8))
+# c1 = -inf: 0 * inf is NaN at t = 0 only on the hazard, cumulative hazard
+# and survival scales, which a check at the latest time alone misses
+@example(betas=[0.0, -1e308, 0.0, 0.0], lam=1.0, time_dependent=True,
+         X=[[0.0, 2.0, 0.0, 0.0]], times=[70.0, 0.0, 0.5])
+# a flat row beside an overflowing one
+@example(betas=[1.0, 1.0, 1.0, 1e308], lam=1e300, time_dependent=True,
+         X=[[0.5, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 2.0]], times=[0.0, 1e300])
+def test_the_extreme_times_check_agrees_with_the_full_buffer_check(
+        betas, lam, time_dependent, X, times):
+    model = _load_pair_model(betas, lam, time_dependent)
+    X, times = np.array(X), np.array(times)
+    for predict in _scales(model).values():
+        checked = []
+        with mock.patch.object(models, "_check_finite",
+                               lambda out, times: checked.append(out.copy())):
+            predict(X, times)
+        try:
+            oracles._check_finite(checked[0])
+        except FloatingPointError:
+            with pytest.raises(FloatingPointError, match="overflow in exp"):
+                predict(X, times)
+        else:
+            predict(X, times)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_permutation_of_the_times_permutes_the_columns(name):
+    model = CATALOG[name]
+    X = features(model, 7)
+    rng = np.random.default_rng(11)
+    for predict in _scales(model).values():
+        whole = predict(X, TIMES)
+        for _ in range(3):
+            perm = rng.permutation(TIMES.size)
+            assert np.array_equal(predict(X, TIMES[perm]), whole[:, perm])
+
+
+def test_an_overflowing_row_raises_wherever_its_extreme_time_sits():
+    X = np.array([[0.1, 0.0], [5.0, 0.0], [2.0, 0.0]])
+    times = np.array([0.0, 0.1, 0.2, 70.0])
+    # row 1 overflows at t = 70 alone: e^(2500 log1p(t)) on hazard and survival
+    latest = GroundTruthModel(1.0, RiskScoreSpec(2, (RiskTerm((0,), 500.0, time="log1p"),)))
+    # row 2 has c1 = -inf: NaN from 0 * inf at t = 0 alone on the same scales
+    earliest = GroundTruthModel(1.0, RiskScoreSpec(2, (RiskTerm((0,), -1e308, time="log1p"),)))
+    for model, row in ((latest, 1), (earliest, 2)):
+        scales = {k: v for k, v in _scales(model).items() if k != "loghazard"}
+        for shift in range(times.size):
+            rolled = np.roll(times, shift)
+            for predict in scales.values():
+                assert np.isfinite(predict(X[[0]], rolled)).all()
+                with pytest.raises(FloatingPointError, match="overflow in exp"):
+                    predict(X[[0, row]], rolled)
 
 
 @pytest.mark.parametrize("scenario", [1, 10])
