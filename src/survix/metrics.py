@@ -79,7 +79,9 @@ def concordance_index(risk_scores: np.ndarray, data: SurvivalDataset) -> float:
     comparable = int(np.sum(n - np.cumsum(time_counts)[time_rank[event]]))
     if comparable == 0:
         raise ValueError("no comparable pairs in the dataset")
-    order = np.argsort(time_rank * n + rank, kind="stable")
+    # rows with equal keys share their time and rank: they pair with nobody,
+    # and every other row lies on one side of all of them, so any sort works
+    order = np.argsort(time_rank * n + rank)
     concordant = _later_lower_pairs(rank[order], event[order])
     # same rank, strictly later time: keys in (rank * n + time_rank, (rank + 1) * n)
     keys = rank * n + time_rank

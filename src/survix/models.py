@@ -28,7 +28,8 @@ threshold), so an infinity reaches the latest time; a NaN comes from a
 non-finite load, which spoils the whole prediction row, or from 0 * inf at
 the earliest time. There is one implementation of each scale, the batch
 one, also for a single row or time.
-The Cox information takes risk-set row weights; eta sums columns in order.
+The Cox fit evaluates its derivatives on one workspace per fit, and the
+information takes risk-set row weights; eta sums columns in order.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -378,8 +380,9 @@ class CoxModel:
 
     def cumhaz_at(self, times: np.ndarray) -> np.ndarray:
         """Step-function lookup of H0; times beyond the last event reuse the
-        final value (documented extrapolation)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        final value (documented extrapolation). Times must be finite and
+        >= 0."""
+        times = _checked_times(times)
         idx = np.searchsorted(self.baseline_times, times, side="right")
         steps = np.concatenate(([0.0], self.baseline_cumhaz))
         return steps[idx]
@@ -387,8 +390,10 @@ class CoxModel:
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         """(x - mean) . beta, summed in column order: batch-independent."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.p:
+            raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
         out = np.zeros(X.shape[0])
-        for x, m, b in zip(X.T, self.mean, self.beta, strict=True):
+        for x, m, b in zip(X.T, self.mean, self.beta):
             out += (x - m) * b
         return out
 
@@ -432,10 +437,13 @@ def fit_coxph(data) -> CoxModel:
     """Newton-Raphson fit of the Breslow-tie-corrected partial likelihood.
 
     Features are centered at their training means for numerical stability;
-    predictions are invariant to the centering. Standard errors come from
-    the inverse observed information. The derivatives are evaluated once at
-    the start and once per step-halving trial; the accepted trial's
-    evaluation serves the next iteration and the standard errors.
+    predictions are invariant to the centering. A column whose rows all
+    equal its first is rejected as constant. Standard errors come from the
+    inverse observed information. One workspace (_breslow_workspace) serves
+    the whole fit: it holds what the derivatives need that does not depend on
+    beta, and their work arrays. The derivatives are evaluated once at the
+    start and once per step-halving trial; the accepted trial's evaluation
+    serves the next iteration and the standard errors.
     """
     X = np.asarray(data.features, dtype=float)
     y = np.asarray(data.times, dtype=float)
@@ -443,7 +451,7 @@ def fit_coxph(data) -> CoxModel:
     n, p = X.shape
     if d.sum() < 1:
         raise ValueError("at least one event is required")
-    if np.any(X.std(axis=0) == 0):
+    if np.any((X == X[0]).all(axis=0)):
         raise ValueError("constant feature column; drop it before fitting")
 
     mean = X.mean(axis=0)
@@ -453,10 +461,11 @@ def fit_coxph(data) -> CoxModel:
     # risk set of an observation starts at the first index sharing its time
     risk_start = np.searchsorted(ys, ys, side="left")
     ev = np.flatnonzero(ds == 1)
+    work = _breslow_workspace(Xs, risk_start, ev)
 
     tol, max_iter = 1e-8, 100
     beta = np.zeros(p)
-    current = _breslow_derivatives(Xs, ds, risk_start, ev, beta)
+    current = _breslow_derivatives(work, beta)
     trace = []
     for iteration in range(1, max_iter + 1):
         loglik, grad, info = current
@@ -475,13 +484,13 @@ def fit_coxph(data) -> CoxModel:
         # evaluation carries over to the next iteration
         new_beta = beta + step
         for _ in range(30):
-            candidate = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)
+            candidate = _breslow_derivatives(work, new_beta)
             if candidate[0] >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             step *= 0.5
             new_beta = beta + step
         else:
-            candidate = _breslow_derivatives(Xs, ds, risk_start, ev, new_beta)
+            candidate = _breslow_derivatives(work, new_beta)
         beta, current = new_beta, candidate
     else:
         raise ConvergenceError(
@@ -500,7 +509,7 @@ def fit_coxph(data) -> CoxModel:
     event_times, first_idx, counts = np.unique(
         ys[ev], return_index=True, return_counts=True
     )
-    denom = s0[risk_start[ev][first_idx]]
+    denom = s0[work.at[first_idx]]
     cumhaz = np.cumsum(counts / denom)
     return CoxModel(
         beta=beta,
@@ -512,22 +521,51 @@ def fit_coxph(data) -> CoxModel:
     )
 
 
-def _breslow_derivatives(Xs, ds, risk_start, ev, beta):
-    """Log partial likelihood, gradient and observed information (Breslow),
-    the last as sum_i c_i w_i x_i x_i^T - mu^T mu, where the risk-set weight
-    c_i sums 1 / s0 over the events whose risk set holds row i: O(n p^2) time
-    and O(n p) memory per evaluation, with no (n, p, p) moment sums."""
-    eta = Xs @ beta
+def _breslow_workspace(Xs, risk_start, ev) -> SimpleNamespace:
+    """One fit's state for _breslow_derivatives. It holds what does not
+    depend on beta: the time-sorted centred features ``Xs``, the event rows
+    ``ev``, their risk-set starts ``at`` and the event rows' feature sum. It
+    also holds the work arrays, allocated once per fit rather than once per
+    evaluation: (n,) vectors for eta, the weights and s0, (n, p) arrays for
+    the weighted rows and s1, an (events, p) array for mu, and three
+    events-sized vectors. Not shared between fits or threads."""
+    n, p = Xs.shape
+    e = ev.size
+    return SimpleNamespace(
+        Xs=Xs, ev=ev, at=risk_start[ev], event_sum=Xs[ev].sum(axis=0),
+        eta=np.empty(n), w=np.empty(n), s0=np.empty(n),
+        wx=np.empty((n, p)), s1=np.empty((n, p)), mu=np.empty((e, p)),
+        s0e=np.empty(e), ev_a=np.empty(e), ev_b=np.empty(e),
+    )
+
+
+def _breslow_derivatives(work, beta):
+    """Log partial likelihood, gradient and observed information (Breslow)
+    at ``beta``, the last as sum_i c_i w_i x_i x_i^T - mu^T mu, where the
+    risk-set weight c_i sums 1 / s0 over the events whose risk set holds row
+    i: O(n p^2) time and O(n p) memory, with no (n, p, p) moment sums.
+    Intermediates are written into the work arrays of ``work`` (see
+    _breslow_workspace), so an evaluation allocates one (n,) vector; the
+    returned gradient and information are fresh arrays, never views of it.
+    Gathers use mode="clip", which numpy does not buffer; the indices are in
+    range."""
+    Xs, ev, at = work.Xs, work.ev, work.at
+    eta = np.matmul(Xs, beta, out=work.eta)
     eta_max = eta.max()
-    w = np.exp(eta - eta_max)
-    wx = Xs * w[:, None]
-    s0 = np.cumsum(w[::-1])[::-1]
-    s1 = np.cumsum(wx[::-1], axis=0)[::-1]
-    at = risk_start[ev]
-    s0e = s0[at]
-    mu = s1[at] / s0e[:, None]
-    loglik = float(np.sum(eta[ev] - (np.log(s0e) + eta_max)))
-    grad = Xs[ev].sum(axis=0) - mu.sum(axis=0)
-    c = np.cumsum(np.bincount(at, weights=1.0 / s0e, minlength=w.size))
-    info = (Xs * (w * c)[:, None]).T @ Xs - mu.T @ mu
+    w = np.exp(np.subtract(eta, eta_max, out=work.w), out=work.w)
+    wx = np.multiply(Xs, w[:, None], out=work.wx)
+    s0, s1 = work.s0, work.s1
+    np.cumsum(w[::-1], out=s0[::-1])
+    np.cumsum(wx[::-1], axis=0, out=s1[::-1])
+    s0e = np.take(s0, at, out=work.s0e, mode="clip")
+    mu = np.take(s1, at, axis=0, out=work.mu, mode="clip")
+    np.divide(mu, s0e[:, None], out=mu)
+    log_s0e = np.add(np.log(s0e, out=work.ev_b), eta_max, out=work.ev_b)
+    eta_ev = np.take(eta, ev, out=work.ev_a, mode="clip")
+    loglik = float(np.sum(np.subtract(eta_ev, log_s0e, out=work.ev_a)))
+    grad = work.event_sum - mu.sum(axis=0)
+    c = np.bincount(at, weights=np.divide(1.0, s0e, out=work.ev_a), minlength=w.size)
+    np.cumsum(c, out=c)
+    np.multiply(w, c, out=c)
+    info = np.multiply(Xs, c[:, None], out=wx).T @ Xs - mu.T @ mu
     return loglik, grad, info

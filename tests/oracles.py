@@ -4,11 +4,12 @@ None of these is on a library path: each is a slower, independent way to
 compute one quantity that ``survix`` computes in batch (the term-matrix
 predictor of a ground-truth model, adaptive quadrature for the closed-form
 cumulative hazard, one-point model and Cox evaluations, the two-array Cox
-survival matrix, the Cox derivatives from (n, p, p) moment sums, one
-event-time draw, the scenario catalogue with every entry built, the
-term-local Moebius coefficients of a log-hazard game, a sum of unanimity
-games (SOUM) with its closed-form k-SII, the submasks of one
-mask at a time, the discrete-derivative form of the Shapley interaction
+survival matrix, the Cox derivatives from (n, p, p) moment sums and with
+every intermediate allocated per call, one event-time draw, the scenario
+catalogue with every entry built, the term-local Moebius coefficients of a
+log-hazard game, a sum of unanimity games (SOUM) with its closed-form
+k-SII, the submasks of one mask at a time, the discrete-derivative form of
+the Shapley interaction
 index, the encoding of feature indices as a coalition mask, the imputed rows
 of both imputers built as they were before the feature-major layout and the
 per-coalition plans, and the regression's coalition sampler with its list
@@ -236,6 +237,27 @@ def breslow_derivatives(Xs, ds, risk_start, ev, beta):
     info = (s2[at] / s0e[:, None, None]).sum(axis=0) - np.einsum(
         "ij,ik->jk", mu, mu
     )
+    return loglik, grad, info
+
+
+def breslow_derivatives_per_call(Xs, ds, risk_start, ev, beta):
+    """The risk-set-weight Breslow derivatives with every intermediate
+    allocated per call and the beta-free parts (risk_start[ev], the event
+    rows' feature sum) recomputed per call: models._breslow_derivatives on
+    its per-fit workspace must equal it bit for bit."""
+    eta = Xs @ beta
+    eta_max = eta.max()
+    w = np.exp(eta - eta_max)
+    wx = Xs * w[:, None]
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum(wx[::-1], axis=0)[::-1]
+    at = risk_start[ev]
+    s0e = s0[at]
+    mu = s1[at] / s0e[:, None]
+    loglik = float(np.sum(eta[ev] - (np.log(s0e) + eta_max)))
+    grad = Xs[ev].sum(axis=0) - mu.sum(axis=0)
+    c = np.cumsum(np.bincount(at, weights=1.0 / s0e, minlength=w.size))
+    info = (Xs * (w * c)[:, None]).T @ Xs - mu.T @ mu
     return loglik, grad, info
 
 

@@ -2,7 +2,8 @@
 reference row, a bounded cumulative hazard, a near-singular conditional
 covariance, an order outside 1..p, a wrongly shaped prediction, an
 instance of the wrong length and a coalition mask outside 0..2^p - 1 either
-work or fail with a clear error."""
+work or fail with a clear error. So do a fitted Cox model's predictions at a
+NaN or negative time and on the wrong number of features."""
 
 import os
 import re
@@ -19,8 +20,8 @@ from survix.core import PredictionTarget, build_time_grid, indices_from_mask
 from survix.games import (ConditionalGaussianImputer, MarginalEmpiricalImputer,
                           SurvivalGame, reference_mean)
 from survix.interactions import ApproximatorConfig, explain
-from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm
-from survix.simulate import build_scenario
+from survix.models import GroundTruthModel, RiskScoreSpec, RiskTerm, fit_coxph
+from survix.simulate import build_scenario, simulate_dataset
 
 EPS = np.finfo(float).eps
 # efficiency of a p = 3 table: the Moebius pass and the contraction each add
@@ -239,3 +240,29 @@ def test_indices_from_a_negative_mask_are_rejected():
     with pytest.raises(ValueError, match="coalition mask -1 is negative"):
         indices_from_mask(-1)
     assert indices_from_mask(0) == () and indices_from_mask(13) == (0, 2, 3)
+
+
+# a NaN time once got the final cumulative hazard (S = 0.00226 for a row of
+# scenario 1), as a ground-truth model never did
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_cox_predictions_reject_a_bad_time(bad):
+    data = simulate_dataset(1, n=300, seed=4)[0]
+    cox = fit_coxph(data)
+    times = np.array([1.0, bad, 5.0])
+    for predict in (cox.cumhaz_at, lambda t: cox.survival_matrix(data.features[:2], t),
+                    lambda t: build_scenario(1).survival_matrix(data.features[:2], t)):
+        with pytest.raises(ValueError, match="times must be finite and >= 0"):
+            predict(times)
+    assert cox.survival_matrix(data.features[:2], [0.0, 5.0]).shape == (2, 2)
+
+
+# the wrong feature count once ended in "zip() argument 2 is shorter than
+# argument 1"
+@pytest.mark.parametrize("q", [2, 4])
+def test_cox_linear_predictor_rejects_the_wrong_feature_count(q):
+    cox = fit_coxph(simulate_dataset(1, n=300, seed=4)[0])
+    with pytest.raises(ValueError, match=f"expected 3 features, got {q}"):
+        cox.linear_predictor(np.ones((2, q)))
+    with pytest.raises(ValueError, match=f"expected 3 features, got {q}"):
+        cox.survival_matrix(np.ones(q), [1.0])
+    assert cox.linear_predictor(np.ones(3)).shape == (1,)

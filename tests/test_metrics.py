@@ -264,6 +264,23 @@ class TestConcordance:
         # only the (2,3) pair is comparable
         assert concordance_index(np.array([0.0, 5.0, 1.0]), data) == 1.0
 
+    def test_rows_tied_in_time_and_risk_in_any_order(self):
+        # the time order is an unstable sort: rows sharing a (time, risk) key,
+        # events and censored rows mixed, may come out in any order
+        rng = np.random.default_rng(5)
+        n = 400
+        times = rng.integers(1, 9, n).astype(float)
+        risk = 0.5 * rng.integers(0, 5, n)
+        events = (rng.random(n) < 0.5).astype(int)
+        keys = times * 10 + risk
+        mixed = [k for k in np.unique(keys) if np.ptp(events[keys == k]) == 1]
+        assert len(mixed) >= 30
+        for _ in range(20):
+            perm = rng.permutation(n)
+            data = self._data(times[perm], events[perm])
+            assert concordance_index(risk[perm], data) == \
+                _concordance_oracle(risk[perm], data)
+
     def test_no_comparable_pairs(self):
         data = self._data([2.0, 2.0], [1, 1])
         with pytest.raises(ValueError):

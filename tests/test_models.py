@@ -9,6 +9,7 @@ from scipy import integrate
 from oracles import (
     QUAD_ABS_TOL,
     breslow_derivatives,
+    breslow_derivatives_per_call,
     coxph_survival,
     cumulative_hazard,
     eval_risk_score,
@@ -275,6 +276,26 @@ class TestCoxFit:
         with pytest.raises(ValueError):
             fit_coxph(data)
 
+    @pytest.mark.parametrize("n", [3, 2000])
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3, 123.456])
+    def test_rounded_constant_column_rejected(self, value, n):
+        # the column's computed std is not 0 (1.4e-17 for 0.1 at n = 3)
+        data = _cox_data(n=max(n, 10), seed=4)
+        X = np.column_stack([data.features[:n], np.full(n, value)])
+        data = SurvivalDataset(X, data.times[:n], np.ones(n, dtype=int))
+        with pytest.raises(ValueError, match="constant feature column"):
+            fit_coxph(data)
+
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3, 123.456])
+    def test_one_differing_entry_fits(self, value):
+        data = simulate_dataset(1, n=2000, seed=21)[0]
+        ev = np.flatnonzero(data.events == 1)
+        col = np.full(data.n, value)
+        col[ev[np.argsort(data.times[ev])[ev.size // 2]]] = value + 1.0  # the median event
+        model = fit_coxph(SurvivalDataset(np.column_stack([data.features, col]),
+                                          data.times, data.events))
+        assert model.iterations < 10 and np.all(np.isfinite(model.beta))
+
     def test_breslow_baseline_monotone(self):
         model = fit_coxph(_cox_data(n=200, seed=2))
         assert model.baseline_cumhaz[0] >= 0
@@ -307,11 +328,12 @@ def _fit_coxph_oracle(data, tol=1e-8, max_iter=100):
     Xs, ys, ds = Xc[order], y[order], d[order]
     risk_start = np.searchsorted(ys, ys, side="left")
     ev = np.flatnonzero(ds == 1)
+    work = models._breslow_workspace(Xs, risk_start, ev)
 
     beta = np.zeros(p)
     trace = []
     for iteration in range(1, max_iter + 1):
-        loglik, grad, info = models._breslow_derivatives(Xs, ds, risk_start, ev, beta)
+        loglik, grad, info = models._breslow_derivatives(work, beta)
         trace.append((iteration, float(loglik), float(np.linalg.norm(grad))))
         if np.linalg.norm(beta) > 50:
             raise ConvergenceError("diverging coefficients", trace)
@@ -320,7 +342,7 @@ def _fit_coxph_oracle(data, tol=1e-8, max_iter=100):
         step = np.linalg.solve(info, grad)
         new_beta = beta + step
         for _ in range(30):
-            new_ll = models._breslow_derivatives(Xs, ds, risk_start, ev, new_beta)[0]
+            new_ll = models._breslow_derivatives(work, new_beta)[0]
             if new_ll >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             step *= 0.5
@@ -329,7 +351,7 @@ def _fit_coxph_oracle(data, tol=1e-8, max_iter=100):
     else:
         raise ConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
-    loglik, grad, info = models._breslow_derivatives(Xs, ds, risk_start, ev, beta)
+    loglik, grad, info = models._breslow_derivatives(work, beta)
     stderr = np.sqrt(np.diag(np.linalg.inv(info)))
     w = np.exp(Xs @ beta)
     s0 = np.cumsum(w[::-1])[::-1]
@@ -434,6 +456,18 @@ def _peak_bytes(fn, args):
         tracemalloc.stop()
 
 
+def _workspace(args):
+    """The per-fit workspace of a _sorted_cohort tuple."""
+    Xs, _, risk_start, ev = args
+    return models._breslow_workspace(Xs, risk_start, ev)
+
+
+_COHORTS = [
+    (1, 2000, 21), (10, 2000, 22), (1, 20000, 3), (10, 2000, 3940036142),
+    "tied", "single_event", "p1", "p10",
+]
+
+
 class TestBreslowDerivatives:
     """The risk-set-weight derivatives against the (n, p, p) moment-sum
     oracle. The log-likelihood and gradient take the same operations, so
@@ -441,31 +475,68 @@ class TestBreslowDerivatives:
     order; the forward-error bound of an n-term sum, n eps times the sum of
     the magnitudes, is held as n eps max|info| (c = 1)."""
 
-    @pytest.mark.parametrize("name", [
-        (1, 2000, 21), (10, 2000, 22), (1, 20000, 3), (10, 2000, 3940036142),
-        "tied", "single_event", "p1", "p10",
-    ], ids=str)
+    @pytest.mark.parametrize("name", _COHORTS, ids=str)
     def test_match_the_moment_sum_oracle(self, name):
         args = _sorted_cohort(*_cohort(name))
         n, p = args[0].shape
+        work = _workspace(args)
         rng = np.random.default_rng(1)
         for beta in (np.zeros(p), rng.normal(0.0, 0.5 / math.sqrt(p), p)):
-            loglik, grad, info = models._breslow_derivatives(*args, beta)
+            loglik, grad, info = models._breslow_derivatives(work, beta)
             want_loglik, want_grad, want_info = breslow_derivatives(*args, beta)
             assert loglik == want_loglik
             assert np.array_equal(grad, want_grad)
             bound = n * np.finfo(float).eps * np.abs(want_info).max()
             assert np.abs(info - want_info).max() <= bound
 
+    @pytest.mark.parametrize("name", _COHORTS, ids=str)
+    def test_workspace_equals_the_per_call_oracle(self, name):
+        # same operations in the same order: equal bit for bit
+        args = _sorted_cohort(*_cohort(name))
+        p = args[0].shape[1]
+        work = _workspace(args)
+        rng = np.random.default_rng(2)
+        for beta in (np.zeros(p), rng.normal(0.0, 0.5 / math.sqrt(p), p),
+                     rng.normal(0.0, 1.0, p)):
+            loglik, grad, info = models._breslow_derivatives(work, beta)
+            want_loglik, want_grad, want_info = breslow_derivatives_per_call(*args, beta)
+            assert loglik == want_loglik
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(info, want_info)
+
+    def test_results_survive_the_next_evaluation(self):
+        # the fit keeps the accepted trial's result while the next trial runs
+        args = _sorted_cohort(*_cohort((1, 2000, 21)))
+        work = _workspace(args)
+        beta1, beta2 = np.array([0.4, -0.8, -0.6]), np.array([-1.0, 0.5, 2.0])
+        first = models._breslow_derivatives(work, beta1)
+        kept = (first[0], first[1].copy(), first[2].copy())
+        models._breslow_derivatives(work, beta2)
+        fresh = models._breslow_derivatives(_workspace(args), beta1)
+        for result in (kept, fresh):
+            assert first[0] == result[0]
+            assert np.array_equal(first[1], result[1])
+            assert np.array_equal(first[2], result[2])
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(out, a) for out in first[1:] for a in arrays)
+
     def test_memory_is_linear_in_n_p(self):
         n, p = 20000, 10
         rng = np.random.default_rng(0)
-        args = (*_sorted_cohort(rng.standard_normal((n, p)), rng.exponential(size=n),
-                                (rng.random(n) < 0.7).astype(int)), np.full(p, 0.1))
-        bound = 6 * n * p * 8
-        assert _peak_bytes(models._breslow_derivatives, args) <= bound
+        args = _sorted_cohort(rng.standard_normal((n, p)), rng.exponential(size=n),
+                              (rng.random(n) < 0.7).astype(int))
+        beta = np.full(p, 0.1)
+
+        def build_and_evaluate():
+            return models._breslow_derivatives(_workspace(args), beta)
+
+        assert _peak_bytes(build_and_evaluate, ()) <= 6 * n * p * 8
+        # later evaluations reuse the workspace's arrays
+        work = _workspace(args)
+        models._breslow_derivatives(work, beta)
+        assert _peak_bytes(models._breslow_derivatives, (work, beta)) < n * p * 8
         # the oracle's (n, p, p) sums need 3 n p^2 8 bytes, 5x the bound
-        assert _peak_bytes(breslow_derivatives, args) >= 3 * n * p * p * 8
+        assert _peak_bytes(breslow_derivatives, (*args, beta)) >= 3 * n * p * p * 8
 
 
 class TestCoxSurvival:
