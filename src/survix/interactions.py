@@ -10,30 +10,32 @@ preserves efficiency at every timepoint, reduces to Shapley values at order
 one, and reproduces the Moebius transform at full order.
 
 ``explain_instances`` fills one (N, 2^p, w) value tensor per block of rows,
-runs one Moebius pass over its coalition axis, then one contraction per
-target coalition, over all N. The w columns are the engine's nodes (see
-``games``): r for a callable with an r-row time basis, such as a ground-truth
-log-hazard, else T. The curves are mapped to the grid once per block.
+runs one Moebius pass over its coalition axis, then one superset-sum pass
+over the coefficients weighted for each target size, over all N. The w
+columns are the engine's nodes (see ``games``): r for a callable with an
+r-row time basis, such as a ground-truth log-hazard, else T. The curves are
+mapped to the grid once per block.
 
 One read-only plan per (p, k), ``_plan``, built on first use, indexes the
 targets (the coalitions of size 1..k, canonical order): their feature
 indices, their submasks and signs for the estimators' derivatives, and their
-supersets of size <= k and Bernoulli weights for ``aggregate_ksii``. The
-exact path's redistribution takes its targets from it and caches their 2^p
-supersets apart. Both pick subsets with ``_picks``, the one subset picker.
-A weight depends only on (|S|, |R|, k).
+supersets of size <= k and Bernoulli weights for ``aggregate_ksii``. Both
+pick subsets with ``_picks``, the one subset picker. A weight depends only
+on (|S|, |R|, k), so the exact path weights every Moebius coefficient once
+per target size and adds them over supersets in one pass (the fast zeta
+transform; Grabisch, "Set Functions, Games and Capacities in Decision
+Making", 2016), reading each target's curve off its size's sums.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -210,25 +212,20 @@ def _moebius_redistribution(s: int, r: int, k: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def _redistribution(p: int, k: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
-    """(S, superset masks in descending order, their non-zero order-k
-    weights) for every target coalition S of size 1..k, in canonical order:
-    the weights of the Moebius coefficients each target receives. Targets of
-    one size share their weights."""
+def _passes(p: int, k: int) -> tuple:
+    """The (k, 2^p) weights that the Moebius coefficient at mask full ^ m
+    passes to each of its subsets of size s = 1..k (zero if it has none),
+    and each target's (s - 1, full ^ S) position in the weighted subset
+    sums, targets in canonical order."""
     plan = _plan(p, k)
     full = (1 << p) - 1
-    out = []
-    for s in range(1, k + 1):
-        extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
-        weights = np.array([_moebius_redistribution(s, r, k)
-                            for r in range(s, p + 1)])[np.bitwise_count(extras)]
-        targets = plan.targets[plan.sizes == s]
-        supers = targets[:, None] + _picks(targets ^ full, p, extras[weights != 0.0])
-        coeffs = weights[weights != 0.0]
-        for a in (supers, coeffs):  # shared by every caller through the cache
-            a.flags.writeable = False
-        out += zip(targets.tolist(), supers, itertools.repeat(coeffs))
-    return tuple(out)
+    table = np.array([[_moebius_redistribution(s, r, k) for r in range(p + 1)]
+                      for s in range(1, k + 1)])
+    weights = table[:, p - np.bitwise_count(np.arange(1 << p))]
+    at = (plan.sizes - 1, full ^ plan.targets)
+    for a in (weights, *at):  # shared by every caller through the cache
+        a.flags.writeable = False
+    return weights, at
 
 
 def _check_order(k: int, p: int) -> None:
@@ -241,18 +238,18 @@ def _ksii_block(V: np.ndarray, k: int) -> np.ndarray:
     tensor, targets in ``coalition_iter`` order without the empty set."""
     p = V.shape[1].bit_length() - 1
     _check_order(k, p)
+    weights, at = _passes(p, k)
     mo = _zeta_pass(V.copy(), np.subtract)
-    plan = _redistribution(p, k)
-    out = np.empty((V.shape[0], len(plan), V.shape[2]))
-    for i, (_, supers, coeffs) in enumerate(plan):
-        out[:, i] = coeffs @ mo[:, supers]
-    return out
+    # mask m of the reversed axis holds full ^ m, so the subset sums at
+    # full ^ S add the weighted coefficients of the supersets of S
+    W = mo[:, None, ::-1] * weights[:, :, None]
+    return _zeta_pass(W, np.add)[:, at[0], at[1]]
 
 
 def exact_ksii(values: np.ndarray, k: int) -> Dict[int, np.ndarray]:
     """Fused exact pipeline on a (2^p, T) value array: Moebius transform,
-    then direct redistribution of every coefficient onto its subsets of
-    order <= k."""
+    then every coefficient weighted onto its subsets of order <= k by one
+    superset-sum pass, all target sizes stacked."""
     values = np.asarray(values, dtype=float)
     p = _players(values)
     return dict(zip(_plan(p, k).targets.tolist(), _ksii_block(values[None], k)[0]))

@@ -130,21 +130,16 @@ def _later_lower_pairs(rank: np.ndarray, event: np.ndarray) -> int:
     return total
 
 
-def censoring_km(data: SurvivalDataset):
-    """Kaplan-Meier estimate of the censoring survival function G(t).
-
-    Returns (times, values) of the right-continuous step function: one step
-    per distinct observed time t, with factor 1 - censored / at risk, where
-    every row with y >= t is at risk (rows tied at t included). Censorings
-    per distinct time come from one np.unique plus np.bincount, O(n log n).
-    """
-    times, _, values = _censoring_steps(data)
-    return times, values
-
-
 def _censoring_steps(data: SurvivalDataset):
-    """(times, row_step, values): censoring_km's step function and, from the
-    same np.unique, each row's index into times."""
+    """Kaplan-Meier estimate of the censoring survival function G(t), and
+    each row's index into its times.
+
+    Returns (times, row_step, values) of the right-continuous step
+    function: one step per distinct observed time t, with factor
+    1 - censored / at risk, where every row with y >= t is at risk (rows
+    tied at t included). Censorings per distinct time come from one
+    np.unique plus np.bincount, O(n log n).
+    """
     y = data.times
     uniq, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
     at_risk = np.cumsum(counts[::-1])[::-1]

@@ -209,27 +209,24 @@ class GroundTruthModel:
         _check_finite(out, times)
         return out.T
 
-    def cumulative_hazard_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Integral of the hazard from 0 to each timepoint, per row of X.
+    def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = self._negated_cumulative_hazard(X, times)
+        np.exp(out, out=out)
+        return out
+
+    @_quiet_overflow
+    def _negated_cumulative_hazard(self, X, times) -> np.ndarray:
+        """Minus the integral of the hazard from 0 to each timepoint, per row
+        of X; the sign rides on the per-row scale, and negating a factor of a
+        product is exact.
 
         Exact: lam * e^c0 * expm1(a * log1p(t)) / a with a = c1 + 1, whose
         a = 0 limit is lam * e^c0 * log1p(t); lam * e^c0 * t when no term
         depends on time.
         """
-        return self._signed_cumulative_hazard(X, times, 1.0)
-
-    def survival_matrix(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = self._signed_cumulative_hazard(X, times, -1.0)
-        np.exp(out, out=out)
-        return out
-
-    @_quiet_overflow
-    def _signed_cumulative_hazard(self, X, times, sign: float) -> np.ndarray:
-        """sign times the cumulative hazard; the sign rides on the per-row
-        scale, and negating a factor of a product is exact."""
         times = _checked_times(times)
         c0, c1 = self.loads(X)
-        scale = (sign * self.lam) * np.exp(c0)
+        scale = -self.lam * np.exp(c0)
         if self.time_independent:
             out = np.multiply.outer(times, scale)
         else:
@@ -302,24 +299,6 @@ def _check_finite(out: np.ndarray, times: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # model spec JSON
 # ---------------------------------------------------------------------------
-
-def model_to_json(model: GroundTruthModel, path) -> None:
-    payload = {
-        "p": model.p,
-        "lambda": model.lam,
-        "terms": [
-            {
-                "features": [i + 1 for i in term.features],
-                "beta": term.beta,
-                "transforms": list(term.transforms),
-                "time": term.time,
-            }
-            for term in model.risk.terms
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
 
 def model_from_json(path) -> GroundTruthModel:
     with open(path) as fh:

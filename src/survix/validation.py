@@ -356,8 +356,6 @@ def run_benchmark(seed: int = 7, budgets: Sequence[int] = (64, 128, 256, 512),
     """Per (method, budget, repetition) mean squared error of the Monte-Carlo,
     permutation and regression estimators against the exact decomposition of
     one fixed game."""
-    if p > 16:
-        raise ValueError("the exact oracle is restricted to p <= 16")
     if max(budgets) > (1 << p):
         raise ValueError("budget exceeds full enumeration")
     if min(budgets) < max(least_budget(m, order, p) for m in estimators()):

@@ -12,13 +12,18 @@ k-SII, the submasks of one mask at a time, the discrete-derivative form of
 the Shapley interaction
 index, the encoding of feature indices as a coalition mask, the imputed rows
 of both imputers built as they were before the feature-major layout and the
-per-coalition plans, and the regression's coalition sampler with its list
-and rejection paths). Value tables are the library's plain (2^p, T) arrays,
-whose row index is the coalition mask.
+per-coalition plans, the regression's coalition sampler with its list and
+rejection paths, the per-target superset gather of the exact k-SII
+and its exact-rational counterpart, and the writer of model spec files).
+Value tables are the library's plain (2^p, T) arrays, whose row index is the
+coalition mask.
 """
 
 import itertools
+import json
 import math
+from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -26,7 +31,13 @@ from scipy import integrate
 
 from survix.core import PredictionTarget, coalition_iter, indices_from_mask, mask_size
 from survix.games import MarginalEmpiricalImputer, SurvivalGame, _width
-from survix.interactions import _moebius_redistribution
+from survix.interactions import (
+    _bernoulli_fractions,
+    _moebius_redistribution,
+    _picks,
+    _plan,
+    _zeta_pass,
+)
 from survix.models import (
     CoxModel,
     GroundTruthModel,
@@ -367,6 +378,66 @@ def soum_ksii(p: int, terms, k: int, times) -> Dict[int, np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=16)
+def redistribution(p: int, k: int):
+    """(S, superset masks in descending order, their non-zero order-k
+    weights) for every target coalition S of size 1..k, in canonical order:
+    the weights of the Moebius coefficients each target receives. Targets of
+    one size share their weights."""
+    plan = _plan(p, k)
+    full = (1 << p) - 1
+    out = []
+    for s in range(1, k + 1):
+        extras = np.arange(1 << (p - s), dtype=np.int64)[::-1]
+        weights = np.array([_moebius_redistribution(s, r, k)
+                            for r in range(s, p + 1)])[np.bitwise_count(extras)]
+        targets = plan.targets[plan.sizes == s]
+        supers = targets[:, None] + _picks(targets ^ full, p, extras[weights != 0.0])
+        coeffs = weights[weights != 0.0]
+        for a in (supers, coeffs):  # shared by every caller through the cache
+            a.flags.writeable = False
+        out += zip(targets.tolist(), supers, itertools.repeat(coeffs))
+    return tuple(out)
+
+
+def gather_ksii(V: np.ndarray, k: int) -> np.ndarray:
+    """(N, n_targets, T) order-k curves of a (N, 2^p, T) value tensor, as
+    ``interactions._ksii_block``: one Moebius pass, then one contraction per
+    target over its ``redistribution`` supersets."""
+    p = V.shape[1].bit_length() - 1
+    mo = _zeta_pass(np.array(V, dtype=float), np.subtract)
+    plan = redistribution(p, k)
+    out = np.empty((V.shape[0], len(plan), V.shape[2]))
+    for i, (_, supers, coeffs) in enumerate(plan):
+        out[:, i] = coeffs @ mo[:, supers]
+    return out
+
+
+def rational_ksii(table, k: int) -> Dict[int, tuple]:
+    """Exact order-k curve of each target S of a (2^p, T) table of integers,
+    with its absolute Moebius mass sum_{T >= S} |w(|S|, |T|)| |m(T)|, both
+    as lists of Fractions: Moebius coefficients by inclusion-exclusion and
+    the weights w of ``_moebius_redistribution`` before their rounding to
+    float."""
+    n = len(table)
+    p = n.bit_length() - 1
+    mo = [[Fraction(int(v)) for v in row] for row in table]
+    for j in range(p):
+        for m in range(n):
+            if m >> j & 1:
+                mo[m] = [a - b for a, b in zip(mo[m], mo[m ^ (1 << j)])]
+    bern = _bernoulli_fractions(k)
+    weight = {(s, r): sum((math.comb(r - s, t - s) * bern[t - s] * Fraction(1, r - t + 1)
+                           for t in range(s, min(k, r) + 1)), Fraction(0))
+              for s in range(1, k + 1) for r in range(s, p + 1)}
+    out = {}
+    for S in list(coalition_iter(p, k))[1:]:  # no empty set
+        terms = [(weight[mask_size(S), mask_size(T)], mo[T]) for T in range(n) if T & S == S]
+        out[S] = tuple([sum((f(w * m[t]) for w, m in terms), Fraction(0))
+                        for t in range(len(mo[0]))] for f in (Fraction, abs))
+    return out
+
+
 def _submasks(mask: int) -> np.ndarray:
     """All submasks of ``mask`` as an int64 array (descending order)."""
     out = []
@@ -585,3 +656,23 @@ def sample_masks_of_size(p: int, s: int, n: int, rng: np.random.Generator) -> Li
                 seen.add(combo)
                 picked.append(combo)
     return [sum(1 << j for j in combo) for combo in picked]
+
+
+def model_to_json(model: GroundTruthModel, path) -> None:
+    """Write a model spec that ``survix.models.model_from_json`` reads back:
+    1-based feature indices, as the CLI's model files hold them."""
+    payload = {
+        "p": model.p,
+        "lambda": model.lam,
+        "terms": [
+            {
+                "features": [i + 1 for i in term.features],
+                "beta": term.beta,
+                "transforms": list(term.transforms),
+                "time": term.time,
+            }
+            for term in model.risk.terms
+        ],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)

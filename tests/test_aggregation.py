@@ -1,7 +1,8 @@
 """Order-k aggregation of interaction indices: the plan-based
 ``aggregate_ksii`` against its earlier dict loop, the k-SII axioms on
-random games for both order-k routes, and linearity and the Moebius round
-trip within their forward-error bounds.
+random games for both order-k routes, and linearity, the Moebius round
+trip and the exact k-SII against exact rational arithmetic within their
+forward-error bounds.
 
 The oracle below is the earlier ``aggregate_ksii``, copied verbatim: a walk
 over ``itertools.combinations`` of each target's complement, accumulated in
@@ -10,19 +11,20 @@ may differ by the forward error of an n-term dot product.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_sii
+from oracles import exact_sii, rational_ksii, redistribution
 from survix import approximators
 from survix.core import coalition_iter, indices_from_mask, mask_size
 from survix.interactions import (
     _bernoulli_fractions,
+    _ksii_block,
     _plan,
-    _redistribution,
     aggregate_ksii,
     exact_ksii,
     moebius_transform,
@@ -239,8 +241,9 @@ def test_dummy_axiom(p, T, data):
 @given(p=st.integers(1, 7), T=st.integers(1, 4), data=st.data())
 def test_linearity_axiom(p, T, data):
     # exact_ksii(a v + b w) = a exact_ksii(v) + b exact_ksii(w). Each side
-    # rounds a depth-p Moebius tree and an n-term contraction over the
-    # supersets R of S: per entry at most (n + p) eps sum_R |c_R| M(R), with
+    # rounds a depth-p Moebius tree and a weighted sum over the n supersets R
+    # of S with non-zero weight, the other terms exact zeros: per entry at
+    # most (n + p) eps sum_R |c_R| M(R), with
     # M(R) = sum over L in R of |a v(L)| + |b w(L)|, once for each side and
     # once for forming a v + b w, plus the final scaling and addition
     k = data.draw(st.integers(1, p), label="order")
@@ -252,7 +255,7 @@ def test_linearity_axiom(p, T, data):
     combined = exact_ksii(a * v + b * w, k)
     kv, kw = exact_ksii(v, k), exact_ksii(w, k)
     mass = subset_sums(np.abs(a * v) + np.abs(b * w))
-    for S, supers, coeffs in _redistribution(p, k):
+    for S, supers, coeffs in redistribution(p, k):
         summed = a * kv[S] + b * kw[S]
         bound = (3 * (coeffs.size + p + 3) * EPS * (np.abs(coeffs) @ mass[supers])
                  + 2 * EPS * (np.abs(a * kv[S]) + np.abs(b * kw[S])))
@@ -270,3 +273,35 @@ def test_moebius_round_trip(p, T, data):
     mo = moebius_transform(v)
     bound = 1.01 * p * EPS * (subset_sums(np.abs(mo)) + subset_sums(subset_sums(np.abs(v))))
     assert np.all(np.abs(reconstruct_from_moebius(mo) - v) <= bound)
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    return n * EPS / 2 / (1 - n * EPS / 2)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_forward_error_against_rational_oracle(p):
+    # Integer tables below 2^20 have integer Moebius coefficients below 2^28,
+    # which float64 holds exactly. A target S then errs only by the rounding
+    # of its weights, of their products and of the subset-sum tree of depth
+    # p - |S|: |curve - exact| <= gamma(p - |S| + 2) sum_{T >= S} |w| |m(T)|,
+    # with w the order-k weight _moebius_redistribution(|S|, |T|, k). The
+    # efficiency residual |sum_S curve_S - v(N)| is at most those bounds
+    # summed plus gamma(n - 1) sum_S |curve_S| for the sequential sum over the
+    # n targets, and one rounding of the difference
+    rng = np.random.default_rng(p)
+    table = rng.integers(-2**20, 2**20, size=(1 << p, 3)).astype(float)
+    table[0] = 0.0
+    for k in range(1, p + 1):
+        curves = _ksii_block(table[None], k)[0]
+        exact = rational_ksii(table, k)
+        assert len(exact) == len(curves)
+        budget = 0.0
+        for (S, (want, mass)), got in zip(exact.items(), curves):
+            bound = gamma(p - mask_size(S) + 2) * np.array([float(m) for m in mass])
+            error = np.array([float(abs(Fraction(g) - w)) for g, w in zip(got, want)])
+            assert np.all(error <= bound), (k, S)
+            budget = budget + bound
+        budget = (1 + EPS) * (budget + gamma(len(curves) - 1) * np.abs(curves).sum(axis=0))
+        assert np.all(np.abs(curves.sum(axis=0) - table[-1]) <= budget), k

@@ -740,6 +740,13 @@ class TestEstimateChecks:
         with pytest.raises(ValueError, match=r"regression needs budget >= 2\*\(order\+1\)"):
             run_benchmark(budgets=(64, 4), repetitions=1, p=6, n_timepoints=3)
 
+    def test_benchmark_runs_above_sixteen_features(self):
+        # the exact oracle is bounded by the value engine's own limits only
+        rows = run_benchmark(p=17, budgets=(64,), repetitions=1)
+        assert [(r["method"], r["budget"]) for r in rows] == \
+            [(m, 64) for m in estimators()]
+        assert all(np.isfinite(r["mse"]) for r in rows)
+
 
 class TestEstimateAtNodes:
     """Under a time basis, ``estimate`` runs the estimator on the plain game

@@ -8,9 +8,10 @@ from survix import validation
 from survix.approximators import estimators
 from survix.cli import _build_parser, main
 from survix.core import InteractionExplanation, SurvivalDataset
-from survix.models import model_to_json
 from survix.simulate import simulate_dataset
 from survix.validation import benchmark_model
+
+from oracles import model_to_json
 
 
 def run(args):

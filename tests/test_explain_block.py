@@ -24,14 +24,17 @@ from survix.games import (
 )
 from survix.interactions import (
     ApproximatorConfig,
+    _ksii_block,
     _moebius_redistribution,
-    _redistribution,
     explain,
     explain_instances,
+    moebius_transform,
 )
 from survix.simulate import build_scenario, dep_demo_covariance
 
-from oracles import _submasks
+from oracles import _submasks, gather_ksii, redistribution
+
+EPS = np.finfo(float).eps
 
 
 def _oracle_table(predict, x, imputer, grid, baseline):
@@ -234,15 +237,24 @@ def test_batch_variant_callable_moves_only_the_full_coalition(p, target):
 
 
 @pytest.mark.parametrize("p,k", [(1, 1), (2, 2), (3, 2), (3, 3), (12, 3), (14, 3)])
-def test_plan_matches_per_superset_build(p, k):
-    plan = _redistribution(p, k)
-    oracle = _oracle_plan(p, k)
-    assert len(plan) == len(oracle)
-    for (S, supers, coeffs), (S_o, supers_o, coeffs_o) in zip(plan, oracle):
+def test_subset_sum_pass_matches_per_target_gather(p, k):
+    # both read the same Moebius coefficients mo; the subset-sum pass rounds
+    # a target's weighted terms through a tree of depth at most p, the gather
+    # through an n-term dot product: together at most (p + n + 2) eps/2
+    # sum_R |w_R| |mo(R)| over its n supersets R with non-zero weight
+    plan = redistribution(p, k)
+    for (S, supers, coeffs), (S_o, supers_o, coeffs_o) in zip(plan, _oracle_plan(p, k),
+                                                            strict=True):
         assert S == S_o
         assert np.array_equal(supers, supers_o) and supers.dtype == supers_o.dtype
         assert np.array_equal(coeffs, coeffs_o)
-        assert not (supers.flags.writeable or coeffs.flags.writeable)
+    V = np.random.default_rng(p).standard_normal((2, 1 << p, 3))
+    got, want = _ksii_block(V, k), gather_ksii(V, k)
+    assert got.shape == want.shape == (2, len(plan), 3)
+    for row, mo in enumerate(np.abs(moebius_transform(table)) for table in V):
+        for i, (S, supers, coeffs) in enumerate(plan):
+            bound = (p + coeffs.size + 2) * EPS / 2 * (np.abs(coeffs) @ mo[supers])
+            assert np.all(np.abs(got[row, i] - want[row, i]) <= bound), S
 
 
 def test_evaluate_all_coalitions_matches_oracle():

@@ -1,8 +1,9 @@
 """Every module-level import of a survix module, and of the test oracles, is
 used in that module; every defaulted parameter of a survix function is set
 by some producer, a call in src/ or bench/ outside a test file; every
-private helper of survix is referenced by the package; and importing the
-package loads no heavy scipy submodule."""
+public name of survix is exported or has such a producer; every private
+helper of survix is referenced by the package; and importing the package
+loads no heavy scipy submodule."""
 
 import ast
 import os
@@ -242,6 +243,34 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         for name, _ in _defaulted(node) if name not in passed[qualified]
     )
     assert not unused, "defaulted parameters no call sets:\n" + "\n".join(unused)
+
+
+def test_every_public_name_is_exported_or_referenced_by_a_producer():
+    # A public function, class or method that survix does not export and
+    # that no producer names, in src/ or bench/ outside a test file, is a
+    # path only the tests reach. A method counts as named by its attribute,
+    # whatever the object it is read from.
+    referenced = set()
+    for folder in CALLER_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                for node in ast.walk(_tree(path)):
+                    if isinstance(node, ast.Name):
+                        referenced.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        referenced.add(node.attr)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in survix.__all__:
+                unused.append((path, node, node.name))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    unused.append((path, item, f"{node.name}.{item.name}"))
+    unused = [f"{path.name}:{node.lineno} {name}" for path, node, name in unused
+              if not node.name.startswith("_") and node.name not in referenced]
+    assert not unused, "public names neither exported nor referenced:\n" + "\n".join(unused)
 
 
 def _private_helpers(path):

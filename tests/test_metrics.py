@@ -12,9 +12,9 @@ from survix.core import (
 from survix.games import MarginalEmpiricalImputer
 from survix.interactions import explain, explain_instances
 from survix.metrics import (
+    _censoring_steps,
     _step_lookup,
     approximation_error,
-    censoring_km,
     classify_time_dependence,
     concordance_index,
     integrated_brier,
@@ -206,7 +206,7 @@ class TestMetricsEqualOracles:
 
     def test_scenarios_censoring_km_and_brier(self, scenario_fits):
         for data, cox, grid in scenario_fits:
-            km_t, km_v = censoring_km(data)
+            km_t, _, km_v = _censoring_steps(data)
             oracle_t, oracle_v = _censoring_km_oracle(data)
             assert np.array_equal(km_t, oracle_t) and np.array_equal(km_v, oracle_v)
             surv = cox.survival_matrix(data.features, grid.points)
@@ -230,7 +230,7 @@ class TestMetricsEqualOracles:
         data, risk, surv, grid = cohort
         assert _outcome(concordance_index, risk, data) == \
             _outcome(_concordance_oracle, risk, data)
-        km_t, km_v = censoring_km(data)
+        km_t, _, km_v = _censoring_steps(data)
         oracle_t, oracle_v = _censoring_km_oracle(data)
         assert np.array_equal(km_t, oracle_t) and np.array_equal(km_v, oracle_v)
         assert _outcome(integrated_brier, surv, data, grid) == \
@@ -336,7 +336,7 @@ class TestIntegratedBrier:
         times = np.array([1.0, 2.0, 3.0, 4.0])
         events = np.array([1, 0, 0, 1])
         data = SurvivalDataset(np.zeros((4, 1)), times, events)
-        km_t, km_v = censoring_km(data)
+        km_t, _, km_v = _censoring_steps(data)
         assert km_t.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert np.allclose(km_v, [1.0, 2 / 3, 1 / 3, 1 / 3])
 

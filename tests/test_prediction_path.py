@@ -83,7 +83,7 @@ def _scales(model):
     """Each scale's batch predictor (X, times) -> (m, T), by name."""
     return {**{t.value: lambda X, times, t=t: model.predict(X, times, t)
                for t in PredictionTarget},
-            "cumulative_hazard": model.cumulative_hazard_matrix}
+            "cumulative_hazard": lambda X, times: -model._negated_cumulative_hazard(X, times)}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -200,7 +200,7 @@ def test_predictions_do_not_depend_on_memory_layout(name):
     else:
         model = {**CATALOG, **MANY}[name]
         scales = [model.prediction_function(t) for t in PredictionTarget]
-        scales.append(model.cumulative_hazard_matrix)
+        scales.append(model._negated_cumulative_hazard)
     X = features(model, 300)
     F = np.asfortranarray(X)
     assert F.flags.f_contiguous and not F.flags.c_contiguous
@@ -220,7 +220,7 @@ def test_overflowing_row_raises_on_the_per_row_path():
                 model.predict(X, TIMES, target)
             model.predict(X[[0, 2]], TIMES, target)  # the finite rows alone pass
         with pytest.raises(FloatingPointError, match="overflow in exp"):
-            model.cumulative_hazard_matrix(X, TIMES)
+            model._negated_cumulative_hazard(X, TIMES)
         varying = GroundTruthModel(1.0, RiskScoreSpec(2, (
             RiskTerm((0,), 500.0, time="log1p"),)))
         for target in (PredictionTarget.HAZARD, PredictionTarget.SURVIVAL):
